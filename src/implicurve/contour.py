@@ -2,8 +2,11 @@
 
 Any object with ``value(Point2) -> float`` and ``gradient(Point2) ->
 GradientVec`` is a field here; lines, conics, two-tangent blends and patch
-specs all qualify.  Fields are sampled on a regular lattice and contoured
-with marching squares: one crossing per sign-change edge, linear
+specs all qualify.  These also offer ``values(x, y)`` over numpy arrays (see
+:class:`FieldRef`), which samples the whole lattice in one call; a field
+without it is sampled point by point.  Either way a lattice point holds NaN
+where the point value is non-finite or evaluation fails.  Sampled fields are
+contoured with marching squares: one crossing per sign-change edge, linear
 interpolation along the edge, ambiguous saddle cells resolved by the sign of
 a cell-center sample.  Segments are chained into polylines through shared
 edge crossings, which are computed once per edge so chains match exactly.
@@ -22,7 +25,13 @@ from .geom import GradientVec, LineImplicit, Point2
 
 
 class FieldRef(Protocol):
-    """Evaluation contract shared by every curve object in the package."""
+    """Evaluation contract shared by every curve object in the package.
+
+    The package's fields also have ``values(x, y)`` over numpy arrays of one
+    shape: ``value`` element by element, NaN where ``value`` would raise
+    FieldEvaluationError.  It is optional; :func:`sample_grid` uses it when
+    present and also turns any other non-finite result into NaN.
+    """
 
     def value(self, p: Point2) -> float: ...
 
@@ -118,17 +127,37 @@ class ContourSet:
         return sum(1 for pl in self.polylines if len(pl) > 2 and pl[0] == pl[-1])
 
 
+MAX_RESOLUTION = 2048  # cells per axis; a lattice is (N+1)^2 samples
+
+
 def sample_grid(field: FieldRef, bounds: Bounds, resolution: int) -> GridSampling:
-    """Sample the field on the lattice; failed evaluations become NaN."""
+    """Sample the field on the lattice; failed evaluations become NaN.
+
+    A field with ``values(x, y)`` is evaluated over the whole lattice in one
+    call, any other point by point.  Resolutions above MAX_RESOLUTION are
+    rejected before anything is allocated.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 cells per axis")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(
+            f"resolution must be at most {MAX_RESOLUTION} cells per axis, got {resolution}")
+    xs = np.linspace(bounds.xmin, bounds.xmax, resolution + 1)
+    ys = np.linspace(bounds.ymin, bounds.ymax, resolution + 1)
+    values_at = getattr(field, "values", None)
+    if values_at is not None:
+        with np.errstate(all="ignore"):
+            values = np.asarray(values_at(*np.meshgrid(xs, ys, indexing="ij")),
+                                dtype=float)
+        values = np.where(np.isfinite(values), values, np.nan)
+        return GridSampling(bounds, resolution, values, field)
+
     values = np.empty((resolution + 1, resolution + 1))
     # plain floats: numpy scalars slow the pure-Python field evaluations down
-    xs = np.linspace(bounds.xmin, bounds.xmax, resolution + 1).tolist()
-    ys = np.linspace(bounds.ymin, bounds.ymax, resolution + 1).tolist()
+    ys = ys.tolist()
     evaluate = field.value
     isfinite = math.isfinite
-    for i, x in enumerate(xs):
+    for i, x in enumerate(xs.tolist()):
         row = values[i]
         for j, y in enumerate(ys):
             try:

@@ -41,7 +41,6 @@ class Point2:
     y: float
 
     def __post_init__(self):
-        # hot path: grids create millions of points, keep the check lean
         try:
             ok = math.isfinite(self.x) and math.isfinite(self.y)
         except TypeError:
@@ -97,7 +96,11 @@ class LineImplicit:
             raise ValueError("line normal (a, b) must be nonzero")
 
     def value(self, p: Point2) -> float:
-        return self.a * p.x + self.b * p.y + self.c
+        return self.values(p.x, p.y)
+
+    def values(self, x, y):
+        """L at coordinates given as floats or numpy arrays of one shape."""
+        return self.a * x + self.b * y + self.c
 
     def gradient(self, p: Point2) -> GradientVec:
         return GradientVec(self.a, self.b)
@@ -142,7 +145,11 @@ class ConicCoeffs:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
 
     def value(self, p: Point2) -> float:
-        return conic_eval(self, p)
+        return self.values(p.x, p.y)
+
+    def values(self, x, y):
+        """The quadratic field at coordinates given as floats or numpy arrays."""
+        return (self.a * x + self.b * y + self.d) * x + (self.c * y + self.e) * y + self.f
 
     def gradient(self, p: Point2) -> GradientVec:
         return conic_gradient(self, p)
@@ -222,7 +229,7 @@ def line_product(l1: LineImplicit, l2: LineImplicit) -> ConicCoeffs:
 
 def conic_eval(q: ConicCoeffs, p: Point2) -> float:
     """Evaluate the quadratic field at a point."""
-    return (q.a * p.x + q.b * p.y + q.d) * p.x + (q.c * p.y + q.e) * p.y + q.f
+    return q.values(p.x, p.y)
 
 
 def conic_gradient(q: ConicCoeffs, p: Point2) -> GradientVec:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     CurveError,
     DegeneratePoints,
@@ -100,18 +102,21 @@ class IPatchSpec:
     def value(self, p: Point2) -> float:
         return ipatch_eval(self, p)
 
+    def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return ipatch_values(self, x, y)
+
     def gradient(self, p: Point2) -> GradientVec:
         return ipatch_gradient(self, p)
 
 
-def _prod(values) -> float:
+def _prod(values):
     out = 1.0
     for v in values:
         out *= v
     return out
 
 
-def _prod_except(values, skip: int) -> float:
+def _prod_except(values, skip: int):
     out = 1.0
     for j, v in enumerate(values):
         if j != skip:
@@ -127,9 +132,15 @@ def _prod_except2(values, skip1: int, skip2: int) -> float:
     return out
 
 
-def _parts(spec: IPatchSpec, p: Point2):
-    # inner loop of grid sampling: inline the line evaluations
-    x, y = p.x, p.y
+def _field(spec: IPatchSpec, x, y):
+    """Numerator, denominator and parts of the blend at (x, y).
+
+    ``x`` and ``y`` are floats or numpy arrays of one shape; the arithmetic
+    is the same for both, so a lattice sample equals the point value bit for
+    bit.  The denominator is that of the selected form (None for ``raw``);
+    the parts are the bounding values B_j, their squares, the products
+    prod_{j != i} B_j^2, the ribbons R_i and the term w0 * prod_j B_j^2.
+    """
     bvals = []
     bsq = []
     for b in spec.boundings:
@@ -149,20 +160,25 @@ def _parts(spec: IPatchSpec, p: Point2):
         v = line.a * x + line.b * y + line.c
         if len(r) == 2:
             line = r[1]
-            v *= line.a * x + line.b * y + line.c
+            v = v * (line.a * x + line.b * y + line.c)
         rib.append(v)
-    return bvals, bsq, pe, rib
-
-
-def _denominator(spec: IPatchSpec, pe, p: Point2) -> float:
-    if spec.form == NORMALIZED:
+    w0_term = spec.w0 * _prod(bsq)
+    num = w0_term
+    for w, r, e in zip(spec.weights, rib, pe):
+        num = num + w * r * e
+    if spec.form == RAW:
+        den = None
+    elif spec.form == NORMALIZED:
         den = sum(pe)
     else:
         den = sum(w * v for w, v in zip(spec.weights, pe))
+    return num, den, (bvals, bsq, pe, rib, w0_term)
+
+
+def _require_denominator(spec: IPatchSpec, den: float, p: Point2) -> None:
     if abs(den) <= EPS_DEN:
         raise ZeroDenominator(
             f"{spec.form} form denominator zero at ({p.x}, {p.y})")
-    return den
 
 
 def ipatch_eval(spec: IPatchSpec, p: Point2) -> float:
@@ -171,18 +187,30 @@ def ipatch_eval(spec: IPatchSpec, p: Point2) -> float:
     Raises ZeroDenominator for the normalized/faithful forms at common zeros
     of the relevant bounding products.
     """
-    bvals, bsq, pe, rib = _parts(spec, p)
-    raw = spec.w0 * _prod(bsq)
-    for w, r, e in zip(spec.weights, rib, pe):
-        raw += w * r * e
-    if spec.form == RAW:
-        return raw
-    return raw / _denominator(spec, pe, p)
+    num, den, _ = _field(spec, p.x, p.y)
+    if den is None:
+        return num
+    _require_denominator(spec, den, p)
+    return num / den
+
+
+def ipatch_values(spec: IPatchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The patch field over arrays of coordinates, NaN where ``|den| <= EPS_DEN``.
+
+    Each element equals :func:`ipatch_eval` at that point bit for bit; where
+    the point call raises ZeroDenominator the array holds NaN.
+    """
+    num, den, _ = _field(spec, x, y)
+    if den is None:
+        return num
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(den) > EPS_DEN, num / den, np.nan)
 
 
 def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
     """Exact analytic gradient of the selected form at a point."""
-    bvals, bsq, pe, rib = _parts(spec, p)
+    x, y = p.x, p.y
+    _, den, (bvals, bsq, pe, rib, w0_term) = _field(spec, x, y)
     n = spec.sides
 
     # gradient of each prod_{j != i} B_j^2
@@ -203,11 +231,13 @@ def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
             rib_grad.append((r[0].a, r[0].b))
         else:
             u, v = r
-            uv, vv = u.value(p), v.value(p)
+            uv, vv = u.values(x, y), v.values(x, y)
             rib_grad.append((u.a * vv + v.a * uv, u.b * vv + v.b * uv))
 
+    # w0 term last, unlike _field's numerator: the two orders can differ in
+    # the last bit, and this one keeps gradients bit-stable across releases
     raw = sum(w * r * e for w, r, e in zip(spec.weights, rib, pe))
-    raw += spec.w0 * _prod(bsq)
+    raw += w0_term
     raw_gx = raw_gy = 0.0
     for i in range(n):
         w = spec.weights[i]
@@ -217,10 +247,10 @@ def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
         factor = spec.w0 * 2.0 * bvals[k] * _prod_except(bsq, k)
         raw_gx += factor * spec.boundings[k].a
         raw_gy += factor * spec.boundings[k].b
-    if spec.form == RAW:
+    if den is None:
         return GradientVec(raw_gx, raw_gy)
 
-    den = _denominator(spec, pe, p)
+    _require_denominator(spec, den, p)
     if spec.form == NORMALIZED:
         den_gx = sum(g[0] for g in pe_grad)
         den_gy = sum(g[1] for g in pe_grad)
@@ -305,6 +335,9 @@ class FourTangentSpec:
 
     def value(self, p: Point2) -> float:
         return ipatch_eval(self.patch, p)
+
+    def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return ipatch_values(self.patch, x, y)
 
     def gradient(self, p: Point2) -> GradientVec:
         return ipatch_gradient(self.patch, p)

@@ -59,7 +59,10 @@ class LimingSpec:
         return liming_conic(self)
 
     def value(self, p: Point2) -> float:
-        return conic_eval(self.conic, p)
+        return self.conic.values(p.x, p.y)
+
+    def values(self, x, y):
+        return self.conic.values(x, y)
 
     def gradient(self, p: Point2) -> GradientVec:
         return conic_gradient(self.conic, p)
@@ -100,7 +103,10 @@ def recover_lambda(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
 
     ``sample`` must be a point of Q off both tangent lines; when omitted, one
     is searched for by bisecting Q along rays fanned out from the centroid of
-    the tangency points (or from ``search_center``).
+    the tangency points (or from ``search_center``).  A searched sample can
+    lie so close to a tangency point that rounding fails the identity check
+    below; the search then goes on to its next candidate, and only when every
+    candidate fails is the first failure raised.
 
     The returned ``t`` is exactly L1(s)*L2(s) / (L1(s)*L2(s) + C(s)^2); it is
     not clamped to (0, 1), since sign-flipped line inputs legitimately push it
@@ -108,10 +114,20 @@ def recover_lambda(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
     relative; failure raises NotReproducible, which means the given lines are
     not a tangent/secant configuration of Q.
     """
-    if sample is None:
-        center = search_center or _default_center(l1, l2, c)
-        sample = _search_sample(q, l1, l2, c, center)
+    if sample is not None:
+        return _recover_at(q, l1, l2, c, sample)
+    center = search_center or _default_center(l1, l2, c)
+    first_failure = None
+    for candidate in _search_samples(q, l1, l2, c, center):
+        try:
+            return _recover_at(q, l1, l2, c, candidate)
+        except NotReproducible as exc:
+            first_failure = first_failure or exc
+    raise first_failure or NotReproducible("no curve point found off the tangent lines")
 
+
+def _recover_at(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
+                c: LineImplicit, sample: Point2) -> LambdaOmega:
     qscale = max(1.0, q.max_abs())
     if abs(conic_eval(q, sample)) > EPS_ON_CURVE * qscale:
         raise SampleNotOnConic(f"sample {sample} is not on the conic")
@@ -155,9 +171,9 @@ def _default_center(l1: LineImplicit, l2: LineImplicit, c: LineImplicit) -> Poin
     return Point2(0.0, 0.0)
 
 
-def _search_sample(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
-                   c: LineImplicit, center: Point2) -> Point2:
-    """Find a point of Q with |L1*L2| above threshold, by ray bisection."""
+def _search_samples(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
+                    c: LineImplicit, center: Point2):
+    """Points of Q with |L1*L2| above threshold, by ray bisection, in search order."""
     scale = q.max_abs()
     coeffs = tuple(v / scale for v in q.coeffs())
     qn = ConicCoeffs(*coeffs)
@@ -167,7 +183,7 @@ def _search_sample(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
         dx, dy = math.cos(theta), math.sin(theta)
 
         def f(t: float) -> float:
-            return conic_eval(qn, Point2(center.x + t * dx, center.y + t * dy))
+            return qn.values(center.x + t * dx, center.y + t * dy)
 
         t_prev = reach * 1e-7
         f_prev = f(t_prev)
@@ -183,9 +199,8 @@ def _search_sample(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
                 continue
             s = Point2(center.x + root * dx, center.y + root * dy)
             if _usable_sample(s, l1, l2, c):
-                return s
+                yield s
             t_prev, f_prev = t, ft
-    raise NotReproducible("no curve point found off the tangent lines")
 
 
 def _usable_sample(s: Point2, l1: LineImplicit, l2: LineImplicit,

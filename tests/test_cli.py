@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import subprocess
@@ -12,6 +13,7 @@ from implicurve.cli import main
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 CIRCLE = str(SCENES / "circle.scene")
 LIMING = str(SCENES / "liming.scene")
+CIRCLE_TEXT = (SCENES / "circle.scene").read_text()
 
 
 def crossing_scene_text():
@@ -28,7 +30,35 @@ def crossing_scene_text():
     return "\n".join(out) + "\n"
 
 
+# SHA-256 of the SVG written by `render SCENE --grid 256`, recorded before
+# lattice sampling moved to array evaluation; the circle scene is also drawn
+# in its other two forms (the scene file is the normalized one)
+GOLDEN_SVG_SHA256 = {
+    ("circle", None): "9566ee943970fe0a2839f4fa8e10bfe859701c608d793b39cad105bc0fdd4899",
+    ("liming", None): "92173a675398de355b50e52adb9848cab43339a9c6403e7d7d5ec75ea5364fd5",
+    ("circle", "raw"): "3ad9bcd054706ea5601da9d0d9ea36e90cf201e74204c6d24161789ff1283620",
+    ("circle", "faithful"): "9566ee943970fe0a2839f4fa8e10bfe859701c608d793b39cad105bc0fdd4899",
+}
+
+
 class TestRender:
+    @pytest.mark.parametrize("scene,form", sorted(GOLDEN_SVG_SHA256, key=str))
+    def test_golden_svg(self, tmp_path, scene, form):
+        path = SCENES / f"{scene}.scene"
+        if form is not None:
+            path = tmp_path / f"{scene}-{form}.scene"
+            path.write_text(CIRCLE_TEXT.replace("form normalized", f"form {form}"))
+        out = tmp_path / "out.svg"
+        assert main(["render", str(path), "--grid", "256", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == GOLDEN_SVG_SHA256[scene, form]
+
+    def test_grid_above_bound_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "big.svg"
+        assert main(["render", CIRCLE, "--grid", "2049", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error[Validation]:")
+        assert not out.exists()
+
     def test_circle_scene(self, tmp_path, capsys):
         out = tmp_path / "circle.svg"
         assert main(["render", CIRCLE, "--grid", "128", "--out", str(out)]) == 0

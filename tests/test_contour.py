@@ -65,6 +65,12 @@ class TestSampleGrid:
         with pytest.raises(ValueError):
             sample_grid(CIRCLE_FIELD, Bounds(-1, -1, 1, 1), 1)
 
+    def test_resolution_ceiling_checked_before_allocation(self):
+        # 10**9 cells per axis would need 8e18 bytes; the bound must refuse
+        # it by its own message, not numpy's "array is too big"
+        with pytest.raises(ValueError, match="at most 2048 cells"):
+            sample_grid(CIRCLE_FIELD, Bounds(-1, -1, 1, 1), 10**9)
+
 
 class TestTraceContours:
     def test_circle_single_closed_polyline(self):

@@ -19,6 +19,8 @@ from implicurve import (
     liming_conic,
     orient_toward,
     recover_lambda,
+    reproduce_conic_weights,
+    secant_line,
 )
 from implicurve.errors import (
     NotReproducible,
@@ -138,6 +140,27 @@ class TestRecoverLambda:
             assert abs(rec.lam - lam) < 1e-9
             assert abs(rec.omega - 1.0) < 1e-9
             done += 1
+
+    def test_search_moves_past_sample_failing_identity_check(self):
+        # the second pair's chord lies 0.1 degrees off the first search ray,
+        # so the first sample found sits next to a tangency point and its
+        # recovered parameter misses the 1e-9 identity check by rounding
+        q = ConicCoeffs(0.570035308277901, 0.03579487954652827, 0.6271594057237229,
+                        -0.4297388537479756, -0.5260614044919031, -0.8141841863773052)
+        lines = [LineImplicit(0.24437462960162304, 0.9696808961751642, 0.7720808393619445),
+                 LineImplicit(-0.7568867868827407, 0.6535460135616471, 1.3262708396197684),
+                 LineImplicit(-0.30495901454565266, -0.9523654757745812, 1.758214019097567),
+                 LineImplicit(0.39758452920206516, -0.9175655519575548, 1.5180736984042882)]
+        points = [Point2(0.061556511650492585, -0.8117347595490989),
+                  Point2(1.3972792076516443, -0.41112433430352313),
+                  Point2(0.7519183727980963, 1.6053813079131103),
+                  Point2(-0.21380579389943682, 1.5618151961336908)]
+        c = secant_line(points[2], points[3])
+        rec = recover_lambda(q, lines[2], lines[3], c,
+                             search_center=points[2].midpoint(points[3]))
+        blend = liming_conic(LimingSpec(lines[2], lines[3], c, rec.lam))
+        assert equal_up_to_scale(blend, q.scaled(rec.omega), rtol=1e-9)
+        reproduce_conic_weights(q, lines, points)
 
 
 class TestRecoveryUniqueness:
