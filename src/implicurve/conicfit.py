@@ -23,8 +23,8 @@ from .geom import (
     Point2,
     conic_eval,
     conic_gradient,
-    line_product,
     LineImplicit,
+    _line_product_coeffs,
 )
 from dataclasses import dataclass
 
@@ -167,9 +167,9 @@ def _compose_with_unit_map(q: ConicCoeffs, mx: float, my: float,
     """Pull a conic in unit-box coordinates back to the original frame."""
     u = LineImplicit(1.0 / sigma, 0.0, -mx / sigma)
     v = LineImplicit(0.0, 1.0 / sigma, -my / sigma)
-    uu = line_product(u, u).coeffs()
-    uv = line_product(u, v).coeffs()
-    vv = line_product(v, v).coeffs()
+    uu = _line_product_coeffs(u, u)
+    uv = _line_product_coeffs(u, v)
+    vv = _line_product_coeffs(v, v)
     lin_u = (0.0, 0.0, 0.0, u.a, u.b, u.c)
     lin_v = (0.0, 0.0, 0.0, v.a, v.b, v.c)
     const = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)

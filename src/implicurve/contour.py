@@ -27,10 +27,10 @@ from .geom import GradientVec, LineImplicit, Point2
 class FieldRef(Protocol):
     """Evaluation contract shared by every curve object in the package.
 
-    The package's fields also have ``values(x, y)`` over numpy arrays of one
-    shape: ``value`` element by element, NaN where ``value`` would raise
-    FieldEvaluationError.  It is optional; :func:`sample_grid` uses it when
-    present and also turns any other non-finite result into NaN.
+    The package's fields also have ``values(x, y)`` over numpy arrays that
+    broadcast together: ``value`` element by element, NaN where ``value``
+    would raise FieldEvaluationError.  It is optional; :func:`sample_grid`
+    uses it when present and also turns any other non-finite result into NaN.
     """
 
     def value(self, p: Point2) -> float: ...
@@ -146,9 +146,12 @@ def sample_grid(field: FieldRef, bounds: Bounds, resolution: int) -> GridSamplin
     ys = np.linspace(bounds.ymin, bounds.ymax, resolution + 1)
     values_at = getattr(field, "values", None)
     if values_at is not None:
+        # an (N+1) x 1 column of x and a 1 x (N+1) row of y, which the
+        # field's arithmetic broadcasts to the lattice
+        x, y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
         with np.errstate(all="ignore"):
-            values = np.asarray(values_at(*np.meshgrid(xs, ys, indexing="ij")),
-                                dtype=float)
+            values = np.asarray(values_at(x, y), dtype=float)
+        values = np.broadcast_to(values, (resolution + 1, resolution + 1))
         values = np.where(np.isfinite(values), values, np.nan)
         return GridSampling(bounds, resolution, values, field)
 

@@ -20,6 +20,7 @@ from .errors import (
     PointNotOnConic,
     ReferenceOnLine,
     SingularPoint,
+    TangencyViolation,
 )
 
 EPS_DEGENERATE = 1e-9   # coincident-point threshold
@@ -99,7 +100,7 @@ class LineImplicit:
         return self.values(p.x, p.y)
 
     def values(self, x, y):
-        """L at coordinates given as floats or numpy arrays of one shape."""
+        """L at coordinates given as floats or numpy arrays that broadcast."""
         return self.a * x + self.b * y + self.c
 
     def gradient(self, p: Point2) -> GradientVec:
@@ -217,7 +218,16 @@ def intersect_lines(l1: LineImplicit, l2: LineImplicit) -> Point2:
 
 def line_product(l1: LineImplicit, l2: LineImplicit) -> ConicCoeffs:
     """Expand the product of two linear fields into conic coefficients."""
-    return ConicCoeffs(
+    return ConicCoeffs(*_line_product_coeffs(l1, l2))
+
+
+def _line_product_coeffs(l1: LineImplicit, l2: LineImplicit) -> tuple[float, ...]:
+    """The six coefficients of :func:`line_product`, unvalidated.
+
+    For intermediate products that are only combined further, so no
+    ConicCoeffs is built and checked for each.
+    """
+    return (
         l1.a * l2.a,
         l1.a * l2.b + l2.a * l1.b,
         l1.b * l2.b,
@@ -225,6 +235,18 @@ def line_product(l1: LineImplicit, l2: LineImplicit) -> ConicCoeffs:
         l1.b * l2.c + l2.b * l1.c,
         l1.c * l2.c,
     )
+
+
+def check_tangency_points(lines, points) -> None:
+    """Raise TangencyViolation unless each point lies on its tangent line.
+
+    A point is on its line when the line's value there is within
+    EPS_ON_CURVE; every construction from tangent lines and tangency points
+    checks its bindings here.
+    """
+    for line, pt in zip(lines, points):
+        if abs(line.value(pt)) > EPS_ON_CURVE:
+            raise TangencyViolation(f"point {pt} is not on its tangent line")
 
 
 def conic_eval(q: ConicCoeffs, p: Point2) -> float:

@@ -32,7 +32,6 @@ from .errors import (
     NotTangent,
     RecoveryFailed,
     SecantThroughForeignPoint,
-    TangencyViolation,
     ZeroDenominator,
 )
 from .geom import (
@@ -41,6 +40,7 @@ from .geom import (
     GradientVec,
     LineImplicit,
     Point2,
+    check_tangency_points,
     conic_eval,
     conic_gradient,
     secant_line,
@@ -135,11 +135,12 @@ def _prod_except2(values, skip1: int, skip2: int) -> float:
 def _field(spec: IPatchSpec, x, y):
     """Numerator, denominator and parts of the blend at (x, y).
 
-    ``x`` and ``y`` are floats or numpy arrays of one shape; the arithmetic
-    is the same for both, so a lattice sample equals the point value bit for
-    bit.  The denominator is that of the selected form (None for ``raw``);
-    the parts are the bounding values B_j, their squares, the products
-    prod_{j != i} B_j^2, the ribbons R_i and the term w0 * prod_j B_j^2.
+    ``x`` and ``y`` are floats or numpy arrays that broadcast together; the
+    arithmetic is the same for both, so a lattice sample equals the point
+    value bit for bit.  The denominator is that of the selected form (None
+    for ``raw``); the parts are the bounding values B_j, their squares, the
+    products prod_{j != i} B_j^2, the ribbons R_i and the term
+    w0 * prod_j B_j^2.
     """
     bvals = []
     bsq = []
@@ -211,52 +212,51 @@ def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
     """Exact analytic gradient of the selected form at a point."""
     x, y = p.x, p.y
     _, den, (bvals, bsq, pe, rib, w0_term) = _field(spec, x, y)
-    n = spec.sides
+    n = len(bsq)
+    boundings = spec.boundings
+    normalized = spec.form == NORMALIZED
 
-    # gradient of each prod_{j != i} B_j^2
-    pe_grad = []
-    for i in range(n):
-        gx = gy = 0.0
+    # one pass over the sides: raw form and its gradient, and the gradient of
+    # the denominator, each summed in side order.  The w0 term comes last,
+    # unlike _field's numerator: the two orders can differ in the last bit,
+    # and this one keeps gradients bit-stable across releases
+    raw = raw_gx = raw_gy = den_gx = den_gy = 0.0
+    for i, (r, w) in enumerate(zip(spec.ribbons, spec.weights)):
+        # gradient of prod_{j != i} B_j^2
+        pgx = pgy = 0.0
         for k in range(n):
-            if k == i:
-                continue
-            factor = 2.0 * bvals[k] * _prod_except2(bsq, i, k)
-            gx += factor * spec.boundings[k].a
-            gy += factor * spec.boundings[k].b
-        pe_grad.append((gx, gy))
-
-    rib_grad = []
-    for r in spec.ribbons:
+            if k != i:
+                factor = 2.0 * bvals[k]
+                if n > 2:
+                    factor *= _prod_except2(bsq, i, k)
+                pgx += factor * boundings[k].a
+                pgy += factor * boundings[k].b
+        u = r[0]
         if len(r) == 1:
-            rib_grad.append((r[0].a, r[0].b))
+            rgx, rgy = u.a, u.b
         else:
-            u, v = r
-            uv, vv = u.values(x, y), v.values(x, y)
-            rib_grad.append((u.a * vv + v.a * uv, u.b * vv + v.b * uv))
-
-    # w0 term last, unlike _field's numerator: the two orders can differ in
-    # the last bit, and this one keeps gradients bit-stable across releases
-    raw = sum(w * r * e for w, r, e in zip(spec.weights, rib, pe))
+            v = r[1]
+            uv = u.a * x + u.b * y + u.c
+            vv = v.a * x + v.b * y + v.c
+            rgx, rgy = u.a * vv + v.a * uv, u.b * vv + v.b * uv
+        raw += w * rib[i] * pe[i]
+        raw_gx += w * (rgx * pe[i] + rib[i] * pgx)
+        raw_gy += w * (rgy * pe[i] + rib[i] * pgy)
+        if normalized:
+            den_gx += pgx
+            den_gy += pgy
+        else:
+            den_gx += w * pgx
+            den_gy += w * pgy
     raw += w0_term
-    raw_gx = raw_gy = 0.0
-    for i in range(n):
-        w = spec.weights[i]
-        raw_gx += w * (rib_grad[i][0] * pe[i] + rib[i] * pe_grad[i][0])
-        raw_gy += w * (rib_grad[i][1] * pe[i] + rib[i] * pe_grad[i][1])
     for k in range(n):
-        factor = spec.w0 * 2.0 * bvals[k] * _prod_except(bsq, k)
-        raw_gx += factor * spec.boundings[k].a
-        raw_gy += factor * spec.boundings[k].b
+        factor = spec.w0 * 2.0 * bvals[k] * pe[k]  # pe[k] = prod_{j != k} B_j^2
+        raw_gx += factor * boundings[k].a
+        raw_gy += factor * boundings[k].b
     if den is None:
         return GradientVec(raw_gx, raw_gy)
 
     _require_denominator(spec, den, p)
-    if spec.form == NORMALIZED:
-        den_gx = sum(g[0] for g in pe_grad)
-        den_gy = sum(g[1] for g in pe_grad)
-    else:
-        den_gx = sum(w * g[0] for w, g in zip(spec.weights, pe_grad))
-        den_gy = sum(w * g[1] for w, g in zip(spec.weights, pe_grad))
     inv = 1.0 / (den * den)
     return GradientVec(
         (raw_gx * den - raw * den_gx) * inv,
@@ -310,9 +310,7 @@ class FourTangentSpec:
         if len(self.lines) != 4 or len(self.points) != 4:
             raise ValueError("exactly four lines and four tangency points required")
         _check_form(self.form)
-        for line, pt in zip(self.lines, self.points):
-            if abs(line.value(pt)) > EPS_ON_CURVE:
-                raise TangencyViolation(f"point {pt} is not on its tangent line")
+        check_tangency_points(self.lines, self.points)
         for secant, pt in ((self.c1, self.points[0]), (self.c1, self.points[1]),
                            (self.c2, self.points[2]), (self.c2, self.points[3])):
             if abs(secant.value(pt)) > EPS_ON_CURVE:
@@ -360,9 +358,7 @@ def four_tangent_patch(lines: Sequence[LineImplicit], points: Sequence[Point2],
     if len(lines) != 4 or len(points) != 4:
         raise ValueError("exactly four lines and four tangency points required")
     _check_form(form)
-    for line, pt in zip(lines, points):
-        if abs(line.value(pt)) > EPS_ON_CURVE:
-            raise TangencyViolation(f"point {pt} is not on its tangent line")
+    check_tangency_points(lines, points)
     try:
         c1 = secant_line(points[0], points[1])
         c2 = secant_line(points[2], points[3])

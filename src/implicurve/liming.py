@@ -14,8 +14,7 @@ coefficient-wise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import (
     NotReproducible,
@@ -32,7 +31,7 @@ from .geom import (
     conic_eval,
     conic_gradient,
     intersect_lines,
-    line_product,
+    _line_product_coeffs,
 )
 
 # sample-point search parameters
@@ -43,20 +42,26 @@ _SEARCH_STEPS = 192
 
 @dataclass(frozen=True)
 class LimingSpec:
-    """Two tangent lines, a secant, and the blend parameter in (0, 1)."""
+    """Two tangent lines, a secant, and the blend parameter in (0, 1).
+
+    The blend is expanded once, at construction, into ``conic``; a blend
+    that vanishes identically is rejected there.
+    """
 
     l1: LineImplicit
     l2: LineImplicit
     c: LineImplicit
     lam: float
+    conic: ConicCoeffs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and 0.0 < self.lam < 1.0):
             raise ValueError(f"blend parameter must lie in (0, 1), got {self.lam!r}")
-
-    @cached_property
-    def conic(self) -> ConicCoeffs:
-        return liming_conic(self)
+        coeffs = _blend_coeffs(self.l1, self.l2, self.c, self.lam)
+        if not any(coeffs):
+            raise ValueError(
+                f"blend (1 - t)*L1*L2 - t*C^2 vanishes identically at t = {self.lam!r}")
+        object.__setattr__(self, "conic", ConicCoeffs(*coeffs))
 
     def value(self, p: Point2) -> float:
         return self.conic.values(p.x, p.y)
@@ -82,8 +87,8 @@ class LambdaOmega:
 
 def _blend_coeffs(l1: LineImplicit, l2: LineImplicit, c: LineImplicit,
                   lam: float) -> tuple[float, ...]:
-    q12 = line_product(l1, l2).coeffs()
-    qcc = line_product(c, c).coeffs()
+    q12 = _line_product_coeffs(l1, l2)
+    qcc = _line_product_coeffs(c, c)
     return tuple((1.0 - lam) * u - lam * v for u, v in zip(q12, qcc))
 
 
@@ -91,9 +96,10 @@ def liming_conic(spec: LimingSpec) -> ConicCoeffs:
     """Expand (1 - t)*L1*L2 - t*C^2 into conic coefficients.
 
     Coincident tangents are not rejected; they yield a degenerate line-pair
-    conic, which is the caller's concern.
+    conic, which is the caller's concern.  A blend that vanishes identically
+    is rejected when the spec is constructed.
     """
-    return ConicCoeffs(*_blend_coeffs(spec.l1, spec.l2, spec.c, spec.lam))
+    return spec.conic
 
 
 def recover_lambda(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
@@ -216,6 +222,10 @@ def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # no float lies strictly inside the bracket: every further
+            # halving leaves it as it is and ends at this same mid
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid

@@ -52,14 +52,13 @@ class BivariatePoly:
             return BivariatePoly(self.coeffs * float(other))
         n1, m1 = self.coeffs.shape
         n2, m2 = other.coeffs.shape
-        out = np.zeros((n1 + n2 - 1, m1 + m2 - 1))
-        for i in range(n1):
-            row = self.coeffs[i]
-            for j in range(m1):
-                cij = row[j]
-                if cij != 0.0:
-                    out[i:i + n2, j:j + m2] += cij * other.coeffs
-        return BivariatePoly(out)
+        # flattened rows of the product's width: x**i * y**j sits at
+        # i * width + j in both factors and in their 1-D product, and no
+        # y-degree reaches width, so no term carries into the next row
+        width = m1 + m2 - 1
+        flat = np.convolve(self.padded((n1, width)).ravel(),
+                           other.padded((n2, width)).ravel())
+        return BivariatePoly(flat[:(n1 + n2 - 1) * width].reshape(-1, width))
 
     __rmul__ = __mul__
 
@@ -71,12 +70,6 @@ class BivariatePoly:
 
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max())
-
-    def total_degree(self) -> int:
-        nz = np.argwhere(self.coeffs != 0.0)
-        if nz.size == 0:
-            return 0
-        return int((nz[:, 0] + nz[:, 1]).max())
 
     def __repr__(self):
         return f"BivariatePoly(shape={self.coeffs.shape}, max={self.max_abs():.3g})"

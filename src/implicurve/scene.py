@@ -31,10 +31,9 @@ from .errors import (
     DuplicateName,
     ModeConflict,
     SceneSyntaxError,
-    TangencyViolation,
     UnknownName,
 )
-from .geom import LineImplicit, Point2, secant_line
+from .geom import LineImplicit, Point2, check_tangency_points, secant_line
 from .ipatch import FORMS, NORMALIZED, WeightTriple, four_tangent_patch
 from .liming import LimingSpec
 
@@ -314,9 +313,7 @@ def build_scene_field(doc: SceneDoc) -> SceneField:
     if doc.mode == MODE_LIMING:
         _, p, q = doc.secants[0]
         secant = secant_line(doc.point_named(p), doc.point_named(q))
-        for line, pt in zip(t_lines, t_points):
-            if abs(line.value(pt)) > 1e-8:
-                raise TangencyViolation(f"point {pt} is not on its tangent line")
+        check_tangency_points(t_lines, t_points)
         spec = LimingSpec(t_lines[0], t_lines[1], secant, doc.lam)
         return SceneField(doc, spec, t_lines, (secant,), t_points)
 

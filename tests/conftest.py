@@ -1,4 +1,5 @@
-"""Shared test helpers: finite differences and random conic factories."""
+"""Shared test helpers: finite differences, random conic factories and
+hypothesis strategies for lines and patches."""
 
 from __future__ import annotations
 
@@ -6,8 +7,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
-from implicurve import ConicCoeffs, Point2, conic_tangent_line_at
+from implicurve import ConicCoeffs, IPatchSpec, LineImplicit, Point2, conic_tangent_line_at
+from implicurve.ipatch import FORMS
+
+coords = st.floats(-2.0, 2.0, allow_nan=False)
+weights = st.floats(-3.0, 3.0, allow_nan=False)
+forms = st.sampled_from(FORMS)
+lines = st.tuples(coords, coords, coords).filter(
+    lambda abc: math.hypot(abc[0], abc[1]) > 1e-3).map(lambda abc: LineImplicit(*abc))
+
+
+@st.composite
+def ipatches(draw):
+    """n-sided patches, n from 1 to 3, with one- and two-line ribbons."""
+    n = draw(st.integers(1, 3))
+    ribbons = [tuple(draw(st.lists(lines, min_size=1, max_size=2))) for _ in range(n)]
+    return IPatchSpec(ribbons, [draw(lines) for _ in range(n)],
+                      [draw(weights) for _ in range(n)], draw(weights), draw(forms))
 
 
 def central_diff(field, p: Point2, h: float = 1e-5) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import implicurve
 from implicurve import intersect_lines, parse_scene, build_scene_field
 from implicurve.cli import main
 
@@ -212,10 +214,14 @@ class TestFit:
 
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
+        # the child process imports the package from where this one did
+        src = str(Path(implicurve.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
         out = tmp_path / "cli.svg"
         proc = subprocess.run(
             [sys.executable, "-m", "implicurve.cli", "render", CIRCLE,
              "--grid", "32", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert out.exists()

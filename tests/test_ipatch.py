@@ -231,6 +231,12 @@ class TestFourTangentPatch:
         with pytest.raises(DegenerateSecant):
             four_tangent_patch(lines, points, CIRCLE_WEIGHTS, RAW)
 
+    def test_tangency_violation_before_degenerate_secant(self):
+        # the first pair shares p1, which is also off the second tangent
+        points = (Point2(1, 0), Point2(1, 0), Point2(-1, 0), Point2(0, -1))
+        with pytest.raises(TangencyViolation):
+            four_tangent_patch(CIRCLE_LINES, points, CIRCLE_WEIGHTS, RAW)
+
     def test_tangency_invariant_random_configs(self):
         rng = np.random.default_rng(67)
         for _ in range(40):

@@ -74,6 +74,11 @@ class TestLimingConic:
         q = liming_conic(LimingSpec(L1, L1, LineImplicit(0, 1, 0), 0.5))
         assert list(q.coeffs()) == pytest.approx([0.5, 0, -0.5, -1, 0, 0.5])
 
+    def test_vanishing_blend_rejected_at_construction(self):
+        # (1/2)*L*L - (1/2)*L^2 is the zero polynomial, not a curve
+        with pytest.raises(ValueError, match=r"blend \(1 - t\)\*L1\*L2 - t\*C\^2 vanishes"):
+            LimingSpec(L1, L1, L1, 0.5)
+
     def test_lambda_range_enforced(self):
         for bad in (0.0, 1.0, -0.2, 1.2, math.nan):
             with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from implicurve import (
     Bounds,
     ConicCoeffs,
-    IPatchSpec,
     LimingSpec,
     LineImplicit,
     Point2,
@@ -30,13 +29,7 @@ from implicurve import (
 from implicurve.errors import FieldEvaluationError
 from implicurve.ipatch import FORMS
 
-from conftest import Ellipse
-
-coords = st.floats(-2.0, 2.0, allow_nan=False)
-weights = st.floats(-3.0, 3.0, allow_nan=False)
-forms = st.sampled_from(FORMS)
-lines = st.tuples(coords, coords, coords).filter(
-    lambda abc: math.hypot(abc[0], abc[1]) > 1e-3).map(lambda abc: LineImplicit(*abc))
+from conftest import Ellipse, coords, forms, ipatches, lines, weights
 
 
 @st.composite
@@ -54,14 +47,6 @@ def conics(draw):
 
 
 @st.composite
-def ipatches(draw):
-    n = draw(st.integers(1, 3))
-    ribbons = [tuple(draw(st.lists(lines, min_size=1, max_size=2))) for _ in range(n)]
-    return IPatchSpec(ribbons, [draw(lines) for _ in range(n)],
-                      [draw(weights) for _ in range(n)], draw(weights), draw(forms))
-
-
-@st.composite
 def four_tangent_patches(draw):
     ell = Ellipse(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)),
                   draw(st.floats(0.6, 1.6)), draw(st.floats(0.6, 1.6)),
@@ -72,16 +57,15 @@ def four_tangent_patches(draw):
                               [ell.point_at(t) for t in ts], w, draw(forms))
 
 
-def has_conic(spec: LimingSpec) -> bool:
+def blend_or_none(l1, l2, c, lam):
     try:
-        spec.conic
+        return LimingSpec(l1, l2, c, lam)
     except ValueError:  # the blend of equal lines can vanish identically
-        return False
-    return True
+        return None
 
 
-two_tangent_blends = st.builds(LimingSpec, lines, lines, lines,
-                               st.floats(0.01, 0.99)).filter(has_conic)
+two_tangent_blends = st.builds(blend_or_none, lines, lines, lines,
+                               st.floats(0.01, 0.99)).filter(lambda s: s is not None)
 fields = st.one_of(lines, conics(), ipatches(), four_tangent_patches(), two_tangent_blends)
 
 
