@@ -1,7 +1,7 @@
 """Implicit planar curves from prescribed tangent lines.
 
-Conics blended from two tangents and a secant, quartic fields blended from
-four tangents and two secants, parameter recovery for configurations known to
+Conics blended from two tangents and a secant, fields of degree 2k blended
+from k tangent pairs, parameter recovery for configurations known to
 reproduce a conic, tangential conic fitting, and contour rendering to SVG.
 """
 
@@ -33,7 +33,6 @@ from .geom import (
     conic_tangent_line_at,
     equal_up_to_scale,
     intersect_lines,
-    line_eval,
     line_product,
     line_through,
     match_scale,
@@ -44,8 +43,8 @@ from .ipatch import (
     FAITHFUL,
     NORMALIZED,
     RAW,
-    FourTangentSpec,
     IPatchSpec,
+    TangentPairSpec,
     WeightTriple,
     expand_to_polynomial,
     four_tangent_patch,
@@ -69,12 +68,12 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "Point2", "GradientVec", "LineImplicit", "ConicCoeffs",
-    "line_eval", "line_through", "secant_line", "orient_toward",
+    "line_through", "secant_line", "orient_toward",
     "intersect_lines", "line_product", "conic_eval", "conic_gradient",
     "conic_tangent_line_at", "match_scale", "equal_up_to_scale",
     "LimingSpec", "LambdaOmega", "liming_conic", "recover_lambda",
     "RAW", "NORMALIZED", "FAITHFUL",
-    "IPatchSpec", "FourTangentSpec", "WeightTriple",
+    "IPatchSpec", "TangentPairSpec", "WeightTriple",
     "ipatch_eval", "ipatch_gradient", "four_tangent_patch",
     "reproduce_conic_weights", "expand_to_polynomial",
     "TangentConstraint", "ConstraintSystem", "build_constraint_system",

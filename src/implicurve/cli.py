@@ -16,14 +16,17 @@ from .contour import Bounds, sample_grid, trace_contours, verify_tangency
 from .errors import CurveError
 from .geom import ConicCoeffs, GradientVec, Point2
 from .ipatch import reproduce_conic_weights
-from .scene import MODE_LIMING, build_scene_field, parse_scene
+from .scene import MODE_LIMING, _ordered_tangents, build_scene_field, parse_scene
 from .svgout import emit_svg
 
 
 def _num(token: str) -> float:
-    if "/" in token:
-        return float(Fraction(token))
-    return float(token)
+    try:
+        if "/" in token:
+            return float(Fraction(token))
+        return float(token)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad number {token!r}: zero denominator") from exc
 
 
 def _num_list(text: str, count: int, what: str) -> list[float]:
@@ -76,8 +79,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     scene = _load_scene(args.scene)
-    names = [n for n, _ in scene.doc.tangents] if scene.doc.pairing is None \
-        else list(scene.doc.pairing)
+    names = [n for n, _ in _ordered_tangents(scene.doc)]
     print(f"{'line':<10}{'point':<24}{'value_resid':<16}{'cross_resid':<16}status")
     passed = 0
     total = len(scene.tangent_lines)
@@ -98,10 +100,10 @@ def cmd_reproduce(args) -> int:
     if scene.doc.mode == MODE_LIMING:
         raise CurveError("reproduce requires a four-tangent scene")
     conic = ConicCoeffs(*_num_list(args.conic, 6, "--conic"))
-    w = reproduce_conic_weights(conic, scene.tangent_lines, scene.tangency_points)
-    print(f"weights {_fmt(w.w1)} {_fmt(w.w2)} {_fmt(w.w0)}")
-    print("# convention: w0 = -(omega1*lambda1 + omega2*lambda2); "
-          "the blends subtract the squared secant")
+    w = tuple(reproduce_conic_weights(conic, scene.tangent_lines, scene.tangency_points))
+    mixed = " + ".join(f"omega{i}*lambda{i}" for i in range(1, len(w)))
+    print("weights " + " ".join(_fmt(v) for v in w))
+    print(f"# convention: w0 = -({mixed}); the blends subtract the squared secant")
     return 0
 
 

@@ -53,6 +53,8 @@ class Bounds:
             raise ValueError("bounds must be finite")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("bounds must have positive extent")
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise ValueError("bounds extent overflows a float")
 
     @property
     def width(self) -> float:

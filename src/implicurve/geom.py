@@ -162,11 +162,6 @@ class ConicCoeffs:
         return max(abs(v) for v in self.coeffs())
 
 
-def line_eval(line: LineImplicit, p: Point2) -> float:
-    """Evaluate the linear field at a point."""
-    return line.value(p)
-
-
 def line_through(p: Point2, q: Point2) -> LineImplicit:
     """Line through two distinct points, in the canonical normalization.
 

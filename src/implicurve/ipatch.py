@@ -10,17 +10,20 @@ Three evaluation forms are supported: ``raw`` is the polynomial above;
 form's isolated zeros; ``faithful`` divides by sum_i w_i prod_{j != i} B_j^2.
 All three share a zero set wherever the denominators are nonzero.
 
-The four-tangent construction blends two tangent-line pairs against the two
-chords of their tangency points, giving a quartic field that touches all four
-lines.  When the four lines are tangents of one conic, weights computed by
-:func:`reproduce_conic_weights` make the normalized patch coincide with it.
+The tangent-pair construction blends k tangent-line pairs against the k
+secants through their tangency points, giving a field of degree 2k that
+touches all 2k lines; one pair is the two-tangent conic, two pairs the
+four-tangent quartic.  When the lines are tangents of one conic, weights
+computed by :func:`reproduce_conic_weights` make the normalized patch
+coincide with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -55,8 +58,6 @@ FORMS = (RAW, NORMALIZED, FAITHFUL)
 
 EPS_DEN = 1e-12
 
-Ribbon = tuple  # one or two LineImplicit, multiplied at evaluation time
-
 
 def _check_form(form: str) -> None:
     if form not in FORMS:
@@ -72,7 +73,7 @@ class IPatchSpec:
     :func:`expand_to_polynomial` is the only place full expansion happens.
     """
 
-    ribbons: tuple[Ribbon, ...]
+    ribbons: tuple[tuple[LineImplicit, ...], ...]
     boundings: tuple[LineImplicit, ...]
     weights: tuple[float, ...]
     w0: float
@@ -96,9 +97,6 @@ class IPatchSpec:
     def sides(self) -> int:
         return len(self.ribbons)
 
-    def with_form(self, form: str) -> IPatchSpec:
-        return IPatchSpec(self.ribbons, self.boundings, self.weights, self.w0, form)
-
     def value(self, p: Point2) -> float:
         return ipatch_eval(self, p)
 
@@ -107,13 +105,6 @@ class IPatchSpec:
 
     def gradient(self, p: Point2) -> GradientVec:
         return ipatch_gradient(self, p)
-
-
-def _prod(values):
-    out = 1.0
-    for v in values:
-        out *= v
-    return out
 
 
 def _prod_except(values, skip: int):
@@ -163,7 +154,7 @@ def _field(spec: IPatchSpec, x, y):
             line = r[1]
             v = v * (line.a * x + line.b * y + line.c)
         rib.append(v)
-    w0_term = spec.w0 * _prod(bsq)
+    w0_term = spec.w0 * math.prod(bsq)
     num = w0_term
     for w, r, e in zip(spec.weights, rib, pe):
         num = num + w * r * e
@@ -266,70 +257,116 @@ def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
 
 @dataclass(frozen=True)
 class WeightTriple:
-    """Weights of a four-tangent patch: one per pair plus the mixed term.
+    """Weights of two tangent pairs: one per pair plus the mixed term.
 
-    All-zero triples are representable (the zero field) so that degenerate
-    expansions can be exercised; constructions that need a curve should
-    validate weights themselves.
+    Iterates as ``(w1, w2, w0)``, the order in which :class:`TangentPairSpec`
+    takes them; the spec checks that they are finite.  All-zero triples are
+    representable (the zero field) so that degenerate expansions can be
+    exercised.
     """
 
     w1: float
     w2: float
     w0: float
 
-    def __post_init__(self):
-        if not all(math.isfinite(w) for w in self.as_tuple()):
-            raise ValueError("weights must be finite")
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.w1, self.w2, self.w0)
 
+    def __iter__(self):
+        return iter(self.as_tuple())
+
+
+def _pair_count(lines: Sequence[LineImplicit], points: Sequence[Point2]) -> int:
+    """The number k >= 1 of pairs that 2k lines and their 2k points form."""
+    if len(lines) != len(points) or not lines or len(lines) % 2:
+        raise ValueError("tangent lines and tangency points must form k >= 1 pairs")
+    return len(lines) // 2
+
+
+def _pair_secants(points: Sequence[Point2]) -> tuple[LineImplicit, ...]:
+    """Secant C_i through pair i's tangency points, by :func:`secant_line`.
+
+    Raises DegenerateSecant when a pair's points coincide.
+    """
+    try:
+        return tuple(secant_line(p, q) for p, q in zip(points[::2], points[1::2]))
+    except DegeneratePoints as exc:
+        raise DegenerateSecant(str(exc)) from exc
+
+
+def _products_except(polys: list[BivariatePoly]) -> list:
+    """prod_{j != i} polys[j] for each i; the integer 1 for a single poly."""
+    if len(polys) == 1:
+        return [1]
+    return [reduce(operator.mul, polys[:i] + polys[i + 1:]) for i in range(len(polys))]
+
 
 @dataclass(frozen=True)
-class FourTangentSpec:
-    """Four tangent lines with tangency points, paired (l1, l2 | l3, l4).
+class TangentPairSpec:
+    """k >= 1 pairs of tangent lines with their tangency points.
 
-    c1 joins the first pair's tangency points, c2 the second pair's.  The
-    field is
+    Lines and points pair up in order, (l1, l2 | l3, l4 | ...), and the
+    secant C_i through pair i's tangency points is derived at construction.
+    With ``weights = (w1, ..., wk, w0)`` the field is
 
-        w1 * L1 * L2 * C2^2 + w2 * L3 * L4 * C1^2 + w0 * C1^2 * C2^2
+        sum_i w_i * L_{2i-1} * L_{2i} * prod_{j != i} C_j^2 + w0 * prod_j C_j^2
 
-    evaluated per ``form`` through the two-sided patch lowering.
+    evaluated per ``form`` through the k-sided patch lowering.  It touches
+    every line at its point for any weights, since at a point of pair i every
+    other term holds C_i^2.  Two pairs keep their weights as a WeightTriple,
+    other k as a tuple.
+
+    Raises TangencyViolation when some point is off its line,
+    DegenerateSecant when a pair's points coincide, and
+    SecantThroughForeignPoint when a secant passes through a tangency point
+    of another pair (the tangency argument needs those factors nonzero).
     """
 
-    lines: tuple[LineImplicit, LineImplicit, LineImplicit, LineImplicit]
-    points: tuple[Point2, Point2, Point2, Point2]
-    c1: LineImplicit
-    c2: LineImplicit
-    weights: WeightTriple
+    lines: tuple[LineImplicit, ...]
+    points: tuple[Point2, ...]
+    weights: WeightTriple | tuple[float, ...]
     form: str = RAW
+    secants: tuple[LineImplicit, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lines", tuple(self.lines))
         object.__setattr__(self, "points", tuple(self.points))
-        if len(self.lines) != 4 or len(self.points) != 4:
-            raise ValueError("exactly four lines and four tangency points required")
+        k = _pair_count(self.lines, self.points)
+        ws = tuple(map(float, self.weights))
+        if len(ws) != k + 1 or not all(map(math.isfinite, ws)):
+            raise ValueError(f"{k} tangent pairs take {k + 1} finite weights")
         _check_form(self.form)
         check_tangency_points(self.lines, self.points)
-        for secant, pt in ((self.c1, self.points[0]), (self.c1, self.points[1]),
-                           (self.c2, self.points[2]), (self.c2, self.points[3])):
-            if abs(secant.value(pt)) > EPS_ON_CURVE:
-                raise ValueError(f"secant does not pass through tangency point {pt}")
+        secants = _pair_secants(self.points)
+        for i, secant in enumerate(secants):
+            for pt in self.points[:2 * i] + self.points[2 * i + 2:]:
+                if abs(secant.value(pt)) <= EPS_ON_CURVE:
+                    raise SecantThroughForeignPoint(
+                        f"secant through another pair's tangency point {pt}")
+        object.__setattr__(self, "weights", WeightTriple(*ws) if k == 2 else ws)
+        object.__setattr__(self, "secants", secants)
+
+    @property
+    def c1(self) -> LineImplicit:
+        """The first pair's secant."""
+        return self.secants[0]
+
+    @property
+    def c2(self) -> LineImplicit:
+        """The second pair's secant."""
+        return self.secants[1]
 
     @cached_property
     def patch(self) -> IPatchSpec:
-        """Lowering to the two-sided blend: R1 = L1*L2, R2 = L3*L4."""
+        """Lowering to the k-sided blend: R_i = L_{2i-1} * L_{2i}, B_i = C_i."""
+        ws = tuple(self.weights)
         return IPatchSpec(
-            ribbons=((self.lines[0], self.lines[1]), (self.lines[2], self.lines[3])),
-            boundings=(self.c1, self.c2),
-            weights=(self.weights.w1, self.weights.w2),
-            w0=self.weights.w0,
+            ribbons=tuple(zip(self.lines[::2], self.lines[1::2])),
+            boundings=self.secants,
+            weights=ws[:-1],
+            w0=ws[-1],
             form=self.form,
         )
-
-    def with_form(self, form: str) -> FourTangentSpec:
-        return FourTangentSpec(self.lines, self.points, self.c1, self.c2,
-                               self.weights, form)
 
     def value(self, p: Point2) -> float:
         return ipatch_eval(self.patch, p)
@@ -341,73 +378,46 @@ class FourTangentSpec:
         return ipatch_gradient(self.patch, p)
 
 
-def four_tangent_patch(lines: Sequence[LineImplicit], points: Sequence[Point2],
-                       weights: WeightTriple, form: str = RAW) -> FourTangentSpec:
-    """Build the four-tangent field for given lines, tangency points and weights.
-
-    Secants are derived from the tangency points at the two-point
-    cross-product scale (see :func:`implicurve.geom.secant_line`).
-
-    Raises TangencyViolation when some point is off its line,
-    DegenerateSecant when a pair's points coincide, and
-    SecantThroughForeignPoint when a secant passes through a tangency point
-    of the other pair (the tangency argument needs those factors nonzero).
-    """
-    lines = tuple(lines)
-    points = tuple(points)
-    if len(lines) != 4 or len(points) != 4:
-        raise ValueError("exactly four lines and four tangency points required")
-    _check_form(form)
-    check_tangency_points(lines, points)
-    try:
-        c1 = secant_line(points[0], points[1])
-        c2 = secant_line(points[2], points[3])
-    except DegeneratePoints as exc:
-        raise DegenerateSecant(str(exc)) from exc
-    for secant, pt in ((c1, points[2]), (c1, points[3]),
-                       (c2, points[0]), (c2, points[1])):
-        if abs(secant.value(pt)) <= EPS_ON_CURVE:
-            raise SecantThroughForeignPoint(
-                f"secant through the other pair's tangency point {pt}")
-    return FourTangentSpec(lines, points, c1, c2, weights, form)
+# the two-pair construction under its four-tangent name
+four_tangent_patch = TangentPairSpec
 
 
-def expand_to_polynomial(spec: FourTangentSpec) -> BivariatePoly:
-    """Expand the raw four-tangent field into a dense degree-4 polynomial."""
+def expand_to_polynomial(spec: TangentPairSpec) -> BivariatePoly:
+    """Expand the raw field of k tangent pairs into a dense degree-2k polynomial."""
     if spec.form != RAW:
         raise ValueError("only the raw form is a polynomial")
+    return _expand(spec)[0]
+
+
+def _expand(spec: TangentPairSpec) -> tuple[BivariatePoly, BivariatePoly | int]:
+    """The raw field and the normalized denominator sum_i prod_{j != i} C_j^2."""
     pl = [BivariatePoly.from_line(line) for line in spec.lines]
-    c1 = BivariatePoly.from_line(spec.c1)
-    c2 = BivariatePoly.from_line(spec.c2)
-    c1sq = c1.squared()
-    c2sq = c2.squared()
-    w = spec.weights
-    return (w.w1 * (pl[0] * pl[1] * c2sq)
-            + w.w2 * (pl[2] * pl[3] * c1sq)
-            + w.w0 * (c1sq * c2sq))
+    squares = [BivariatePoly.from_line(c).squared() for c in spec.secants]
+    others = _products_except(squares)
+    ws = tuple(spec.weights)
+    terms = [w * (l1 * l2 * o) for w, l1, l2, o in zip(ws, pl[::2], pl[1::2], others)]
+    terms.append(ws[-1] * reduce(operator.mul, squares))
+    return reduce(operator.add, terms), reduce(operator.add, others)
 
 
 def reproduce_conic_weights(q: ConicCoeffs, lines: Sequence[LineImplicit],
-                            points: Sequence[Point2]) -> WeightTriple:
-    """Weights making the normalized four-tangent patch equal the conic.
+                            points: Sequence[Point2]) -> WeightTriple | tuple[float, ...]:
+    """Weights making the normalized patch of k tangent pairs equal the conic.
 
     Each line must be tangent to ``q`` at its point (checked to 1e-7).  The
-    two pairs are solved independently for their blend parameters, then
+    pairs are solved independently for their blend parameters, then
 
-        w1 = omega1 * (1 - t1)
-        w2 = omega2 * (1 - t2)
-        w0 = -(omega1 * t1 + omega2 * t2)
+        w_i = omega_i * (1 - t_i)
+        w0 = -(omega_1 * t_1 + ... + omega_k * t_k)
 
-    where omega_i scales each pair's blend onto q.  Note the minus sign on
-    w0: the blends here subtract the squared secant, so the mixed weight
-    carries the opposite sign from conventions that add it.  The identity
-    raw_field == q * (C1^2 + C2^2) is verified coefficient-wise before
-    returning.
+    where omega_i scales pair i's blend onto q.  Note the minus sign on w0:
+    the blends here subtract the squared secant, so the mixed weight carries
+    the opposite sign from conventions that add it.  The identity
+    raw_field == q * sum_i prod_{j != i} C_j^2 is verified coefficient-wise
+    before returning.  The weights come as the spec holds them: a
+    WeightTriple for two pairs, a tuple ``(w1, ..., wk, w0)`` otherwise.
     """
-    lines = tuple(lines)
-    points = tuple(points)
-    if len(lines) != 4 or len(points) != 4:
-        raise ValueError("exactly four lines and four tangency points required")
+    _pair_count(lines, points)
     qscale = max(1.0, q.max_abs())
     for line, pt in zip(lines, points):
         if abs(conic_eval(q, pt)) > 1e-7 * qscale:
@@ -417,35 +427,23 @@ def reproduce_conic_weights(q: ConicCoeffs, lines: Sequence[LineImplicit],
         if cross > 1e-7 * g.norm() * line.normal_norm():
             raise NotTangent(f"line is not tangent to the conic at {pt}")
 
+    secants = _pair_secants(points)
     try:
-        c1 = secant_line(points[0], points[1])
-        c2 = secant_line(points[2], points[3])
-    except DegeneratePoints as exc:
-        raise DegenerateSecant(str(exc)) from exc
-
-    try:
-        rec1 = recover_lambda(q, lines[0], lines[1], c1,
-                              search_center=points[0].midpoint(points[1]))
-        rec2 = recover_lambda(q, lines[2], lines[3], c2,
-                              search_center=points[2].midpoint(points[3]))
+        recs = [recover_lambda(q, lines[2 * i], lines[2 * i + 1], c,
+                               search_center=points[2 * i].midpoint(points[2 * i + 1]))
+                for i, c in enumerate(secants)]
     except CurveError as exc:
         raise RecoveryFailed(f"per-pair blend recovery failed: {exc}") from exc
 
-    omega1 = 1.0 / rec1.omega
-    omega2 = 1.0 / rec2.omega
-    weights = WeightTriple(
-        omega1 * (1.0 - rec1.lam),
-        omega2 * (1.0 - rec2.lam),
-        -(omega1 * rec1.lam + omega2 * rec2.lam),
-    )
+    omegas = [1.0 / rec.omega for rec in recs]
+    weights = [omega * (1.0 - rec.lam) for omega, rec in zip(omegas, recs)]
+    weights.append(-sum(omega * rec.lam for omega, rec in zip(omegas, recs)))
 
-    patch = four_tangent_patch(lines, points, weights, RAW)
-    got = expand_to_polynomial(patch)
-    c1p = BivariatePoly.from_line(c1)
-    c2p = BivariatePoly.from_line(c2)
-    target = BivariatePoly.from_conic(q) * (c1p.squared() + c2p.squared())
+    patch = TangentPairSpec(lines, points, weights, RAW)
+    got, den = _expand(patch)
+    target = BivariatePoly.from_conic(q) * den
     resid = (got - target).max_abs()
     if resid > 1e-8 * target.max_abs():
         raise RecoveryFailed(
             f"reconstructed field does not reproduce the conic (residual {resid:.3g})")
-    return weights
+    return patch.weights

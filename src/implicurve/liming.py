@@ -143,7 +143,7 @@ def _recover_at(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
         raise SampleOnTangent(f"sample {sample} lies on a tangent line")
 
     product = v1 * v2
-    csq = c.value(sample) ** 2
+    csq = _secant_square(c, sample)
     den = product + csq
     if abs(den) <= 1e-14 * max(abs(product), csq, 1e-30):
         raise NotReproducible("blend denominator vanishes at the sample point")
@@ -215,7 +215,15 @@ def _usable_sample(s: Point2, l1: LineImplicit, l2: LineImplicit,
     if abs(product) < _MIN_TANGENT_PRODUCT:
         return False
     # keep the recovery denominator well away from zero
-    return abs(product + c.value(s) ** 2) >= 1e-9
+    return abs(product + _secant_square(c, s)) >= 1e-9
+
+
+def _secant_square(c: LineImplicit, s: Point2) -> float:
+    """C(s)^2, or NotReproducible where the square overflows a float."""
+    try:
+        return c.value(s) ** 2
+    except OverflowError as exc:
+        raise NotReproducible(f"squared secant overflows at {s}") from exc
 
 
 def _bisect(f, lo: float, hi: float) -> float:

@@ -8,15 +8,17 @@ by whitespace.  Directives:
     tangent LINE POINT       bind a tangency (POINT must lie on LINE)
     secant NAME P Q          declare a secant through two declared points
     lambda REAL              two-tangent blend parameter (two-tangent mode)
-    weights w1 w2 w0         patch weights (four-tangent mode)
+    weights w1 ... wk w0     weights of k >= 2 tangent pairs (four-tangent mode)
     form raw|normalized|faithful
-    pair LA LB | LC LD       tangent pairing override (four-tangent mode)
+    pair LA LB | LC LD ...   tangent pairing override, k pairs (four-tangent mode)
 
 Numbers accept decimal and rational ``p/q`` forms; rationals are converted
 to float once, at parse time.  The mode is inferred from the directive set:
 ``lambda`` selects the two-tangent construction (exactly 2 tangencies and
-1 secant), ``weights`` the four-tangent construction (exactly 4 tangencies;
-secants optional, derived from the pairing when omitted).
+1 secant), ``weights`` the construction from k tangent pairs (exactly 2k
+tangencies; 0 or k secants, derived from the pairing when omitted), whose
+mode label is ``four-tangent`` for every k.  Tangencies pair up in
+declaration order unless ``pair`` names them in another.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     UnknownName,
 )
 from .geom import LineImplicit, Point2, check_tangency_points, secant_line
-from .ipatch import FORMS, NORMALIZED, WeightTriple, four_tangent_patch
+from .ipatch import FORMS, NORMALIZED, TangentPairSpec
 from .liming import LimingSpec
 
 MODE_LIMING = "liming"
@@ -52,9 +54,9 @@ class SceneDoc:
     tangents: tuple[tuple[str, str], ...]
     secants: tuple[tuple[str, str, str], ...]
     lam: float | None
-    weights: tuple[float, float, float] | None
+    weights: tuple[float, ...] | None
     form: str
-    pairing: tuple[str, str, str, str] | None
+    pairing: tuple[str, ...] | None
     mode: str
 
     def line_named(self, name: str) -> LineImplicit:
@@ -145,7 +147,10 @@ def parse_scene(text: str) -> SceneDoc:
                 raise SceneSyntaxError("duplicate 'lambda' directive", lineno, col)
             lam = _parse_number(args[0][0], lineno, args[0][1])
         elif word == "weights":
-            expect(3)
+            if len(args) < 3:
+                raise SceneSyntaxError(
+                    f"'weights' expects at least 3 arguments, got {len(args)}",
+                    lineno, col)
             if weights is not None:
                 raise SceneSyntaxError("duplicate 'weights' directive", lineno, col)
             weights = tuple(_parse_number(t, lineno, cc) for t, cc in args)
@@ -161,10 +166,12 @@ def parse_scene(text: str) -> SceneDoc:
         elif word == "pair":
             if pairing is not None:
                 raise SceneSyntaxError("duplicate 'pair' directive", lineno, col)
-            if len(args) != 5 or args[2][0] != "|":
+            names = [t for t, _ in args]
+            if len(names) < 5 or len(names) % 3 != 2 or set(names[2::3]) != {"|"}:
                 raise SceneSyntaxError(
-                    "'pair' expects: pair LINE LINE | LINE LINE", lineno, col)
-            pairing = (args[0][0], args[1][0], args[3][0], args[4][0])
+                    "'pair' expects: pair LINE LINE | LINE LINE [| LINE LINE ...]",
+                    lineno, col)
+            pairing = tuple(t for i, t in enumerate(names) if i % 3 != 2)
         else:
             raise SceneSyntaxError(f"unknown directive {word!r}", lineno, col)
 
@@ -224,12 +231,13 @@ def _validate(doc: SceneDoc) -> None:
         if doc.pairing is not None:
             raise ModeConflict("'pair' applies only to four-tangent scenes")
     else:
-        if len(doc.tangents) != 4:
+        k = len(doc.weights) - 1
+        if len(doc.tangents) != 2 * k:
+            raise ArityError(f"{k} tangent pairs need exactly {2 * k} tangencies, "
+                             f"got {len(doc.tangents)}")
+        if len(doc.secants) not in (0, k):
             raise ArityError(
-                f"four-tangent mode needs exactly 4 tangencies, got {len(doc.tangents)}")
-        if len(doc.secants) not in (0, 2):
-            raise ArityError(
-                f"four-tangent mode takes 0 or 2 secants, got {len(doc.secants)}")
+                f"{k} tangent pairs take 0 or {k} secants, got {len(doc.secants)}")
         if doc.pairing is not None:
             bound = [lname for lname, _ in doc.tangents]
             for name in doc.pairing:
@@ -237,8 +245,8 @@ def _validate(doc: SceneDoc) -> None:
                     raise UnknownName(f"pair references undeclared line {name!r}")
                 if name not in bound:
                     raise ModeConflict(f"pair references unbound line {name!r}")
-            if len(set(doc.pairing)) != 4:
-                raise ModeConflict("pair must name four distinct tangent lines")
+            if len(doc.pairing) != 2 * k or len(set(doc.pairing)) != 2 * k:
+                raise ModeConflict(f"pair must name the {2 * k} tangent lines once each")
         if doc.secants:
             _check_secants_match_chords(doc)
 
@@ -253,14 +261,14 @@ def _ordered_tangents(doc: SceneDoc) -> list[tuple[str, str]]:
 
 def _check_secants_match_chords(doc: SceneDoc) -> None:
     ordered = _ordered_tangents(doc)
-    chords = [{ordered[0][1], ordered[1][1]}, {ordered[2][1], ordered[3][1]}]
-    declared = [{p, q} for _, p, q in doc.secants]
+    chords = [{p, q} for (_, p), (_, q) in zip(ordered[::2], ordered[1::2])]
+    declared = {frozenset((p, q)) for _, p, q in doc.secants}
     for sname, p, q in doc.secants:
         if {p, q} not in chords:
             raise ModeConflict(
                 f"secant {sname!r} does not join a tangency-point pair")
-    if declared[0] == declared[1]:
-        raise ModeConflict("the two secants must join different tangency pairs")
+    if len(declared) != len(doc.secants):
+        raise ModeConflict("the secants must join different tangency pairs")
 
 
 def serialize_scene(doc: SceneDoc) -> str:
@@ -280,8 +288,9 @@ def serialize_scene(doc: SceneDoc) -> str:
         out.append("weights " + " ".join(repr(w) for w in doc.weights))
     out.append(f"form {doc.form}")
     if doc.pairing is not None:
-        a, b, c, d = doc.pairing
-        out.append(f"pair {a} {b} | {c} {d}")
+        names = doc.pairing
+        pairs = (f"{a} {b}" for a, b in zip(names[::2], names[1::2]))
+        out.append("pair " + " | ".join(pairs))
     return "\n".join(out) + "\n"
 
 
@@ -302,8 +311,8 @@ class SceneField:
 def build_scene_field(doc: SceneDoc) -> SceneField:
     """Resolve the scene into a field.
 
-    Two-tangent scenes produce the expanded conic field; four-tangent scenes
-    produce the patch in the scene's form.  Construction validates the
+    Two-tangent scenes produce the expanded conic field; scenes of k tangent
+    pairs produce the patch in the scene's form.  Construction validates the
     tangency bindings (each bound point must lie on its line).
     """
     ordered = _ordered_tangents(doc)
@@ -317,6 +326,5 @@ def build_scene_field(doc: SceneDoc) -> SceneField:
         spec = LimingSpec(t_lines[0], t_lines[1], secant, doc.lam)
         return SceneField(doc, spec, t_lines, (secant,), t_points)
 
-    weights = WeightTriple(*doc.weights)
-    spec = four_tangent_patch(t_lines, t_points, weights, doc.form)
-    return SceneField(doc, spec, t_lines, (spec.c1, spec.c2), t_points)
+    spec = TangentPairSpec(t_lines, t_points, doc.weights, doc.form)
+    return SceneField(doc, spec, t_lines, spec.secants, t_points)

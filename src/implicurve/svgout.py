@@ -9,6 +9,7 @@ documents.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .contour import Bounds, ContourSet
@@ -40,7 +41,7 @@ def _clip_line(line: LineImplicit, bounds: Bounds) -> tuple[Point2, Point2] | No
     dx = -line.b / n
     dy = line.a / n
 
-    diag = ((bounds.width ** 2 + bounds.height ** 2) ** 0.5)
+    diag = math.hypot(bounds.width, bounds.height)
     t_lo, t_hi = -diag, diag
     for p0, d, lo, hi in ((px, dx, bounds.xmin, bounds.xmax),
                           (py, dy, bounds.ymin, bounds.ymax)):

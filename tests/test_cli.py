@@ -15,6 +15,7 @@ from implicurve.cli import main
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 CIRCLE = str(SCENES / "circle.scene")
 LIMING = str(SCENES / "liming.scene")
+HEXAGON = str(SCENES / "pairs" / "hexagon.scene")
 CIRCLE_TEXT = (SCENES / "circle.scene").read_text()
 
 
@@ -97,6 +98,19 @@ class TestRender:
         assert main(["render", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[SyntaxError]:")
+
+    def test_bounds_with_overflowing_diagonal(self, tmp_path, capsys):
+        out = tmp_path / "wide.svg"
+        assert main(["render", CIRCLE, "--grid", "16",
+                     "--bounds=-1e200,-1,1e200,1", "--out", str(out)]) == 0
+        assert 'width="2e+200"' in out.read_text()
+
+    def test_bounds_with_overflowing_extent_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "inf.svg"
+        assert main(["render", CIRCLE, "--grid", "16",
+                     "--bounds=-1e308,-1,1e308,1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error[Validation]:")
+        assert not out.exists()
 
     def test_explicit_bounds(self, tmp_path):
         out = tmp_path / "b.svg"
@@ -188,6 +202,45 @@ class TestReproduce:
 
     def test_liming_scene_rejected(self, capsys):
         assert main(["reproduce", LIMING, "--conic=1,0,1,0,0,-1"]) == 1
+
+
+class TestThreePairs:
+    def test_hexagon_renders_verifies_and_reproduces(self, tmp_path, capsys):
+        out = tmp_path / "hexagon.svg"
+        assert main(["render", HEXAGON, "--grid", "128", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("mode=four-tangent weights=4,4,4,-12 ")
+        svg = out.read_text()
+        assert len(re.findall(r'<line [^>]*stroke="#0000FF"', svg)) == 6
+        assert len(re.findall(r'<line [^>]*stroke="#FF0000"', svg)) == 3
+        assert len(re.findall(r'<polyline [^>]*stroke="#800080"', svg)) == 1
+
+        assert main(["verify", HEXAGON]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in lines[1:7]] == [f"l{i}" for i in range(1, 7)]
+        assert lines[-1] == "6/6 tangencies pass"
+
+        assert main(["reproduce", HEXAGON, "--conic=-1,0,-1,0,0,1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "weights 4 4 4 -12"
+        assert "omega3*lambda3" in lines[1]
+
+    def test_verify_names_lines_in_pair_order(self, tmp_path, capsys):
+        scene = tmp_path / "paired.scene"
+        scene.write_text(Path(HEXAGON).read_text() + "pair l3 l4 | l5 l6 | l1 l2\n")
+        assert main(["verify", str(scene)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:7]
+        assert [row.split()[0] for row in rows] == ["l3", "l4", "l5", "l6", "l1", "l2"]
+
+
+class TestNumbers:
+    @pytest.mark.parametrize("argv", [
+        ["eval", CIRCLE, "--at=1/0,0"],
+        ["render", CIRCLE, "--bounds=0,0,1/0,1"],
+        ["reproduce", CIRCLE, "--conic=-1,0,-1,0,0,1/0"],
+    ])
+    def test_zero_denominator_is_validation_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error[Validation]: bad number '1/0'")
 
 
 class TestFit:

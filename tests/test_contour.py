@@ -35,6 +35,13 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(0, 2, 1, 1)
 
+    def test_extent_must_be_finite(self):
+        # finite corners whose difference overflows
+        with pytest.raises(ValueError):
+            Bounds(-1e308, -1, 1e308, 1)
+        with pytest.raises(ValueError):
+            Bounds(-1, -1e308, 1, 1e308)
+
     def test_around_points_inflates(self):
         b = Bounds.around_points([Point2(-1, 0), Point2(1, 0),
                                   Point2(0, -1), Point2(0, 1)])

@@ -13,7 +13,6 @@ from implicurve import (
     conic_tangent_line_at,
     equal_up_to_scale,
     intersect_lines,
-    line_eval,
     line_product,
     line_through,
     orient_toward,
@@ -51,15 +50,6 @@ class TestTypes:
         p = Point2(1.0, 2.0)
         with pytest.raises(AttributeError):
             p.x = 3.0
-
-
-class TestLineEval:
-    def test_point_on_line(self):
-        assert line_eval(LineImplicit(-1, 0, 1), Point2(1, 0)) == 0.0
-
-    def test_direct_substitution(self):
-        assert line_eval(LineImplicit(-1, 0, 1), Point2(0, 0)) == 1.0
-        assert line_eval(LineImplicit(1, 1, -1), Point2(2, 3)) == 4.0
 
 
 class TestLineThrough:

@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicurve import (
     FAITHFUL,
     NORMALIZED,
     RAW,
     ConicCoeffs,
-    FourTangentSpec,
     IPatchSpec,
     LimingSpec,
     LineImplicit,
     Point2,
+    TangentPairSpec,
     WeightTriple,
     conic_eval,
     expand_to_polynomial,
@@ -22,7 +24,6 @@ from implicurve import (
     ipatch_eval,
     liming_conic,
     reproduce_conic_weights,
-    secant_line,
 )
 from implicurve.errors import (
     DegenerateSecant,
@@ -33,7 +34,7 @@ from implicurve.errors import (
 )
 from implicurve.poly import BivariatePoly
 
-from conftest import central_diff, random_ellipse, spaced_angles
+from conftest import Ellipse, central_diff, coords, random_ellipse, spaced_angles
 
 L1 = LineImplicit(-1, 0, 1)
 L2 = LineImplicit(0, -1, 1)
@@ -124,8 +125,8 @@ class TestIPatchEval:
         rng = np.random.default_rng(47)
         _, spec = random_patch(rng)
         raw = spec
-        normalized = spec.with_form(NORMALIZED)
-        faithful = spec.with_form(FAITHFUL)
+        normalized = four_tangent_patch(spec.lines, spec.points, spec.weights, NORMALIZED)
+        faithful = four_tangent_patch(spec.lines, spec.points, spec.weights, FAITHFUL)
         checked = 0
         while checked < 200:
             p = Point2(*rng.uniform(-2, 2, 2))
@@ -338,15 +339,112 @@ class TestReproduceConicWeights:
 
 class TestFourTangentSpecInvariants:
     def test_point_off_line_rejected_at_construction(self):
-        c1 = secant_line(Point2(1, 0), Point2(0, 1))
-        c2 = secant_line(Point2(-1, 0), Point2(0, -1))
         with pytest.raises(TangencyViolation):
-            FourTangentSpec((L1, L2, L3, L4),
+            TangentPairSpec((L1, L2, L3, L4),
                             (Point2(0.9, 0.1), Point2(0, 1), Point2(-1, 0), Point2(0, -1)),
-                            c1, c2, CIRCLE_WEIGHTS)
+                            CIRCLE_WEIGHTS)
 
-    def test_bogus_secant_rejected(self):
-        c1 = secant_line(Point2(1, 0), Point2(0, 1))
+
+@st.composite
+def ellipse_tangents(draw, max_pairs):
+    """2k tangent lines of a random ellipse with their points, k >= 1.
+
+    The points sit at least 0.3 rad apart round the ellipse and pair up in a
+    random order, so secants may cross; no secant passes through a point of
+    another pair, since a line meets an ellipse at most twice.
+    """
+    k = draw(st.integers(1, max_pairs))
+    ell = Ellipse(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)),
+                  draw(st.floats(0.6, 1.6)), draw(st.floats(0.6, 1.6)),
+                  draw(st.floats(0.0, math.pi)))
+    gaps = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * k, max_size=2 * k))
+    free = 2.0 * math.pi - 0.3 * 2 * k
+    start = draw(st.floats(0.0, 2.0 * math.pi))
+    ts = start + np.cumsum([0.3 + free * g / (sum(gaps) or 1.0) for g in gaps])
+    ts = [ts[i] for i in draw(st.permutations(range(2 * k)))]
+    return ell, [ell.tangent_at(t) for t in ts], [ell.point_at(t) for t in ts]
+
+
+class TestTangentPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(ellipse_tangents(max_pairs=4),
+           st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=5),
+           st.sampled_from((RAW, NORMALIZED)))
+    def test_touches_every_line_for_any_weights(self, tangents, drawn, form):
+        _, lines, points = tangents
+        k = len(lines) // 2
+        spec = TangentPairSpec(lines, points, drawn[:k] + drawn[-1:], form)
+        assert len(spec.secants) == k
+        for n, (line, pt) in enumerate(zip(lines, points)):
+            # the field's scale at the point: every weight, the tangent lines
+            # and every secant but the point's own, all taken absolutely
+            others = math.prod(c.value(pt) ** 2 for j, c in enumerate(spec.secants)
+                               if j != n // 2)
+            scale = (1.0 + sum(map(abs, drawn))) * (1.0 + max(
+                abs(t.value(pt)) for t in lines)) ** 2
+            scale *= math.prod(1.0 + c.value(pt) ** 2 for c in spec.secants)
+            if form == NORMALIZED:
+                scale /= others
+            assert abs(spec.value(pt)) <= 1e-12 * scale
+            g = spec.gradient(pt)
+            assert abs(g.gx * line.b - g.gy * line.a) <= 1e-12 * scale * line.normal_norm()
+
+    @settings(max_examples=60, deadline=None)
+    @given(ellipse_tangents(max_pairs=3), st.lists(st.tuples(coords, coords), min_size=8,
+                                                   max_size=8))
+    def test_reproduced_weights_give_the_conic(self, tangents, queries):
+        ell, lines, points = tangents
+        q = ell.conic
+        weights = tuple(reproduce_conic_weights(q, lines, points))
+        assert len(weights) == len(lines) // 2 + 1
+        spec = TangentPairSpec(lines, points, weights, NORMALIZED)
+        for x, y in queries:
+            p = Point2(x, y)
+            try:
+                value = spec.value(p)
+            except ZeroDenominator:
+                continue
+            # the normalized field weighs the pair terms against their own
+            # sum, so its error is that of the weights times the terms
+            scale = sum(abs(w * a.value(p) * b.value(p)) for w, a, b
+                        in zip(weights, lines[::2], lines[1::2]))
+            scale += abs(weights[-1]) * max(c.value(p) ** 2 for c in spec.secants)
+            assert abs(value - q.value(p)) <= 1e-8 * (1.0 + scale)
+
+    def test_two_pairs_keep_the_weight_triple(self):
+        spec = TangentPairSpec(CIRCLE_LINES, CIRCLE_POINTS, (2, 2, -2), NORMALIZED)
+        assert spec.weights == CIRCLE_WEIGHTS
+        assert (spec.c1, spec.c2) == spec.secants
+        assert four_tangent_patch is TangentPairSpec
+        assert isinstance(reproduce_conic_weights(CIRCLE, CIRCLE_LINES, CIRCLE_POINTS),
+                          WeightTriple)
+
+    def test_three_pairs_reproduce_the_circle(self):
+        angles = [k * math.pi / 3.0 for k in range(6)]
+        points = [Point2(math.cos(t), math.sin(t)) for t in angles]
+        lines = [LineImplicit(-p.x, -p.y, 1.0) for p in points]
+        weights = reproduce_conic_weights(CIRCLE, lines, points)
+        assert weights == pytest.approx((4.0, 4.0, 4.0, -12.0), abs=1e-12)
+        spec = TangentPairSpec(lines, points, weights, NORMALIZED)
+        assert spec.value(Point2(0.3, 0.2)) == pytest.approx(0.87, abs=1e-12)
+        assert expand_to_polynomial(TangentPairSpec(lines, points, weights)).coeffs.shape \
+            == (7, 7)
+
+    def test_secant_through_a_point_of_the_third_pair(self):
+        # the first pair's secant x + y = 1 passes through (0.5, 0.5)
+        lines = CIRCLE_LINES + (LineImplicit(1, 1, -1), LineImplicit(1, -1, 0))
+        points = CIRCLE_POINTS + (Point2(0.5, 0.5), Point2(-2, -2))
+        with pytest.raises(SecantThroughForeignPoint):
+            TangentPairSpec(lines, points, (1, 1, 1, 1))
+
+    @pytest.mark.parametrize("lines,points,weights", [
+        (CIRCLE_LINES[:3], CIRCLE_POINTS[:3], (1, 1)),
+        (CIRCLE_LINES, CIRCLE_POINTS[:2], (1, 1, 1)),
+        ((), (), (1,)),
+        (CIRCLE_LINES, CIRCLE_POINTS, (1, 1)),
+        (CIRCLE_LINES, CIRCLE_POINTS, (1, 1, 1, 1)),
+        (CIRCLE_LINES, CIRCLE_POINTS, (1, math.inf, 1)),
+    ])
+    def test_arity_and_weights_checked(self, lines, points, weights):
         with pytest.raises(ValueError):
-            FourTangentSpec(CIRCLE_LINES, CIRCLE_POINTS, c1,
-                            LineImplicit(1, 0, 0), CIRCLE_WEIGHTS)
+            TangentPairSpec(lines, points, weights)

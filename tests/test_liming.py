@@ -146,6 +146,15 @@ class TestRecoverLambda:
             assert abs(rec.omega - 1.0) < 1e-9
             done += 1
 
+    def test_overflowing_secant_is_not_reproducible(self):
+        # |C(s)| ~ 1e200: squaring it overflows a float, with a given sample
+        # and with a searched one
+        big = LineImplicit(-1e200, 0, 1e200)
+        with pytest.raises(NotReproducible):
+            recover_lambda(CIRCLE, big, big, big)
+        with pytest.raises(NotReproducible):
+            recover_lambda(CIRCLE, big, big, big, Point2(0.6, 0.8))
+
     def test_search_moves_past_sample_failing_identity_check(self):
         # the second pair's chord lies 0.1 degrees off the first search ray,
         # so the first sample found sits next to a tangency point and its

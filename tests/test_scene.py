@@ -1,6 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicurve import (
     Point2,
@@ -16,7 +19,11 @@ from implicurve.errors import (
     TangencyViolation,
     UnknownName,
 )
+from implicurve.ipatch import FORMS
 from implicurve.scene import MODE_FOUR_TANGENT, MODE_LIMING
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+HEXAGON_SCENE = (SCENES / "pairs" / "hexagon.scene").read_text()
 
 CIRCLE_SCENE = """\
 # unit circle from four tangents
@@ -155,6 +162,91 @@ class TestPairing:
     def test_pair_repeated_line(self):
         with pytest.raises(ModeConflict):
             parse_scene(CIRCLE_SCENE + "pair l1 l2 | l1 l2\n")
+
+
+class TestThreePairs:
+    def test_hexagon_scene(self):
+        doc = parse_scene(HEXAGON_SCENE)
+        assert doc.mode == MODE_FOUR_TANGENT
+        assert doc.weights == (4.0, 4.0, 4.0, -12.0)
+        scene = build_scene_field(doc)
+        assert len(scene.secant_lines) == 3
+        assert scene.field.value(Point2(0.3, 0.2)) == pytest.approx(0.87, abs=1e-12)
+
+    def test_three_pair_directive(self):
+        doc = parse_scene(HEXAGON_SCENE + "pair l3 l4 | l5 l6 | l1 l2\n")
+        assert doc.pairing == ("l3", "l4", "l5", "l6", "l1", "l2")
+        assert "pair l3 l4 | l5 l6 | l1 l2\n" in serialize_scene(doc)
+        scene = build_scene_field(doc)
+        assert scene.tangency_points[0] == doc.point_named("p3")
+
+    def test_matching_secants_accepted(self):
+        text = HEXAGON_SCENE + "secant a p2 p1\nsecant b p5 p6\nsecant c p3 p4\n"
+        assert len(build_scene_field(parse_scene(text)).secant_lines) == 3
+
+    @pytest.mark.parametrize("extra,error", [
+        ("pair l1 l2 | l3 l4\n", ModeConflict),
+        ("pair l1 l2 | l3 l4 | l5\n", SceneSyntaxError),
+        ("pair l1 l2 | l3 l4 , l5 l6\n", SceneSyntaxError),
+        ("secant a p1 p2\nsecant b p3 p4\n", ArityError),
+        ("secant a p1 p2\nsecant b p3 p4\nsecant c p2 p1\n", ModeConflict),
+    ])
+    def test_pairing_and_secants_checked(self, extra, error):
+        with pytest.raises(error):
+            parse_scene(HEXAGON_SCENE + extra)
+
+    def test_weights_count_fixes_the_tangency_count(self):
+        with pytest.raises(ArityError):
+            parse_scene(HEXAGON_SCENE.replace("weights 4 4 4 -12", "weights 4 4 -12"))
+        with pytest.raises(SceneSyntaxError):
+            parse_scene(HEXAGON_SCENE.replace("weights 4 4 4 -12", "weights 4 -12"))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+numbers = st.one_of(finite.map(repr), st.tuples(st.integers(-99, 99), st.integers(1, 99))
+                    .map(lambda pq: f"{pq[0]}/{pq[1]}"))
+
+
+@st.composite
+def scene_texts(draw):
+    """Scene text in either mode; tangent-pair scenes have k = 2 to 4 pairs,
+    an optional ``pair`` directive and 0 or k secants."""
+    k = draw(st.one_of(st.none(), st.integers(2, 4)))
+    n = 2 if k is None else 2 * k
+    out = []
+    for i in range(n):
+        a, b = draw(st.tuples(numbers, numbers).filter(
+            lambda ab: float(Fraction(ab[0])) != 0.0 or float(Fraction(ab[1])) != 0.0))
+        out.append(f"line l{i} {a} {b} {draw(numbers)}")
+        out.append(f"point p{i} {draw(numbers)} {draw(numbers)}")
+    order = draw(st.permutations(range(n)))
+    out += [f"tangent l{i} p{i}" for i in order]
+    if k is not None and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        pairs = zip(order[::2], order[1::2])
+        out.append("pair " + " | ".join(f"l{a} l{b}" for a, b in pairs))
+    chords = list(zip(order[::2], order[1::2]))
+    if k is None or draw(st.booleans()):
+        for s, (a, b) in enumerate(draw(st.permutations(chords))):
+            a, b = draw(st.permutations((a, b)))
+            out.append(f"secant c{s} p{a} p{b}")
+    if k is None:
+        out.append(f"lambda {draw(numbers)}")
+    else:
+        out.append("weights " + " ".join(draw(numbers) for _ in range(k + 1)))
+    if draw(st.booleans()):
+        out.append(f"form {draw(st.sampled_from(FORMS))}")
+    return "\n".join(out) + "\n"
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(scene_texts())
+    def test_serialize_then_parse_gives_the_same_doc(self, text):
+        doc = parse_scene(text)
+        again = parse_scene(serialize_scene(doc))
+        assert again == doc
+        assert serialize_scene(again) == serialize_scene(doc)
 
 
 class TestSecantsInFourTangentMode:

@@ -61,6 +61,12 @@ class TestEmitSvg:
         # x = -1.5 runs along the left edge, still visible
         assert _count(svg, r'<line ') == 1
 
+    def test_line_clipped_to_bounds_whose_diagonal_squared_overflows(self):
+        # width 2e200: width ** 2 overflows a float, the diagonal does not
+        bounds = Bounds(-1e200, -1, 1e200, 1)
+        svg = emit_svg(EMPTY, [LineImplicit(0, 1, 0)], [], [], bounds)
+        assert 'x1="1e+200" y1="-0" x2="-1e+200" y2="-0"' in svg
+
     def test_line_missing_bounds_suppressed(self):
         svg = emit_svg(EMPTY, [LineImplicit(1, 0, -10)], [], [], BOUNDS)
         assert _count(svg, r'<line ') == 0
