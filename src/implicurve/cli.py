@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .conicfit import TangentConstraint, fit_conic_two_tangents_one_point
 from .contour import Bounds, sample_grid, trace_contours, verify_tangency
-from .errors import CurveError
+from .errors import CurveError, ModeConflict
 from .geom import ConicCoeffs, GradientVec, Point2
 from .ipatch import reproduce_conic_weights
 from .scene import MODE_LIMING, _ordered_tangents, build_scene_field, parse_scene
@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
 def cmd_reproduce(args) -> int:
     scene = _load_scene(args.scene)
     if scene.doc.mode == MODE_LIMING:
-        raise CurveError("reproduce requires a four-tangent scene")
+        raise ModeConflict("reproduce requires a four-tangent scene")
     conic = ConicCoeffs(*_num_list(args.conic, 6, "--conic"))
     w = tuple(reproduce_conic_weights(conic, scene.tangent_lines, scene.tangency_points))
     mixed = " + ".join(f"omega{i}*lambda{i}" for i in range(1, len(w)))

@@ -8,7 +8,10 @@ tangent lines) with bounding lines B_j:
 Three evaluation forms are supported: ``raw`` is the polynomial above;
 ``normalized`` divides by sum_i prod_{j != i} B_j^2, which removes the raw
 form's isolated zeros; ``faithful`` divides by sum_i w_i prod_{j != i} B_j^2.
-All three share a zero set wherever the denominators are nonzero.
+All three share a zero set wherever the denominators are nonzero.  Two-sided
+patches are evaluated by a dedicated kernel, written out without per-side
+loops, that does the float operations of the generic n-sided path in the
+same order, so both give the same bits.
 
 The tangent-pair construction blends k tangent-line pairs against the k
 secants through their tangency points, giving a field of degree 2k that
@@ -123,15 +126,25 @@ def _prod_except2(values, skip1: int, skip2: int) -> float:
     return out
 
 
+def _ribbon(r: tuple[LineImplicit, ...], x, y):
+    """R = L or L * L' at (x, y), floats or arrays."""
+    line = r[0]
+    v = line.a * x + line.b * y + line.c
+    if len(r) == 2:
+        line = r[1]
+        v = v * (line.a * x + line.b * y + line.c)
+    return v
+
+
 def _field(spec: IPatchSpec, x, y):
-    """Numerator, denominator and parts of the blend at (x, y).
+    """Numerator, denominator and parts of an n-sided blend at (x, y).
 
     ``x`` and ``y`` are floats or numpy arrays that broadcast together; the
     arithmetic is the same for both, so a lattice sample equals the point
     value bit for bit.  The denominator is that of the selected form (None
     for ``raw``); the parts are the bounding values B_j, their squares, the
-    products prod_{j != i} B_j^2, the ribbons R_i and the term
-    w0 * prod_j B_j^2.
+    products prod_{j != i} B_j^2 and the term w0 * prod_j B_j^2.  Two-sided
+    patches go through :func:`_field2`, which does the same float operations.
     """
     bvals = []
     bsq = []
@@ -139,21 +152,8 @@ def _field(spec: IPatchSpec, x, y):
         v = b.a * x + b.b * y + b.c
         bvals.append(v)
         bsq.append(v * v)
-    n = len(bsq)
-    if n == 1:
-        pe = [1.0]
-    elif n == 2:
-        pe = [bsq[1], bsq[0]]
-    else:
-        pe = [_prod_except(bsq, i) for i in range(n)]
-    rib = []
-    for r in spec.ribbons:
-        line = r[0]
-        v = line.a * x + line.b * y + line.c
-        if len(r) == 2:
-            line = r[1]
-            v = v * (line.a * x + line.b * y + line.c)
-        rib.append(v)
+    pe = [_prod_except(bsq, i) for i in range(len(bsq))]
+    rib = [_ribbon(r, x, y) for r in spec.ribbons]
     w0_term = spec.w0 * math.prod(bsq)
     num = w0_term
     for w, r, e in zip(spec.weights, rib, pe):
@@ -164,7 +164,33 @@ def _field(spec: IPatchSpec, x, y):
         den = sum(pe)
     else:
         den = sum(w * v for w, v in zip(spec.weights, pe))
-    return num, den, (bvals, bsq, pe, rib, w0_term)
+    return num, den, (bvals, bsq, pe, w0_term)
+
+
+def _field2(spec: IPatchSpec, x, y):
+    """Numerator and denominator of a two-sided blend at (x, y).
+
+    The float operations of :func:`_field` for n = 2, where
+    prod_{j != i} B_j^2 is the other side's square, written out.  Each name
+    is rebound once its value is used, so on a lattice no intermediate
+    array outlives its use.
+    """
+    b1, b2 = spec.boundings
+    w1, w2 = spec.weights
+    s1 = b1.a * x + b1.b * y + b1.c
+    s1 = s1 * s1
+    s2 = b2.a * x + b2.b * y + b2.c
+    s2 = s2 * s2
+    num = spec.w0 * (s1 * s2)
+    num = num + w1 * _ribbon(spec.ribbons[0], x, y) * s2
+    num = num + w2 * _ribbon(spec.ribbons[1], x, y) * s1
+    if spec.form == RAW:
+        return num, None
+    # sum() starts from 0, which leaves a square as it is but turns a
+    # weighted -0.0 into 0.0
+    if spec.form == NORMALIZED:
+        return num, s2 + s1
+    return num, 0.0 + w1 * s2 + w2 * s1
 
 
 def _require_denominator(spec: IPatchSpec, den: float, p: Point2) -> None:
@@ -179,7 +205,10 @@ def ipatch_eval(spec: IPatchSpec, p: Point2) -> float:
     Raises ZeroDenominator for the normalized/faithful forms at common zeros
     of the relevant bounding products.
     """
-    num, den, _ = _field(spec, p.x, p.y)
+    if len(spec.boundings) == 2:
+        num, den = _field2(spec, p.x, p.y)
+    else:
+        num, den, _ = _field(spec, p.x, p.y)
     if den is None:
         return num
     _require_denominator(spec, den, p)
@@ -192,17 +221,33 @@ def ipatch_values(spec: IPatchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Each element equals :func:`ipatch_eval` at that point bit for bit; where
     the point call raises ZeroDenominator the array holds NaN.
     """
-    num, den, _ = _field(spec, x, y)
+    if len(spec.boundings) == 2:
+        num, den = _field2(spec, x, y)
+    else:
+        num, den, _ = _field(spec, x, y)
     if den is None:
         return num
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(np.abs(den) > EPS_DEN, num / den, np.nan)
 
 
+def _ribbon_gradient(r: tuple[LineImplicit, ...], x: float, y: float):
+    """R = L or L * L' at a point, with its gradient."""
+    u = r[0]
+    uv = u.a * x + u.b * y + u.c
+    if len(r) == 1:
+        return uv, u.a, u.b
+    v = r[1]
+    vv = v.a * x + v.b * y + v.c
+    return uv * vv, u.a * vv + v.a * uv, u.b * vv + v.b * uv
+
+
 def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
     """Exact analytic gradient of the selected form at a point."""
+    if len(spec.boundings) == 2:
+        return _gradient2(spec, p)
     x, y = p.x, p.y
-    _, den, (bvals, bsq, pe, rib, w0_term) = _field(spec, x, y)
+    _, den, (bvals, bsq, pe, w0_term) = _field(spec, x, y)
     n = len(bsq)
     boundings = spec.boundings
     normalized = spec.form == NORMALIZED
@@ -217,22 +262,13 @@ def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
         pgx = pgy = 0.0
         for k in range(n):
             if k != i:
-                factor = 2.0 * bvals[k]
-                if n > 2:
-                    factor *= _prod_except2(bsq, i, k)
+                factor = 2.0 * bvals[k] * _prod_except2(bsq, i, k)
                 pgx += factor * boundings[k].a
                 pgy += factor * boundings[k].b
-        u = r[0]
-        if len(r) == 1:
-            rgx, rgy = u.a, u.b
-        else:
-            v = r[1]
-            uv = u.a * x + u.b * y + u.c
-            vv = v.a * x + v.b * y + v.c
-            rgx, rgy = u.a * vv + v.a * uv, u.b * vv + v.b * uv
-        raw += w * rib[i] * pe[i]
-        raw_gx += w * (rgx * pe[i] + rib[i] * pgx)
-        raw_gy += w * (rgy * pe[i] + rib[i] * pgy)
+        rib, rgx, rgy = _ribbon_gradient(r, x, y)
+        raw += w * rib * pe[i]
+        raw_gx += w * (rgx * pe[i] + rib * pgx)
+        raw_gy += w * (rgy * pe[i] + rib * pgy)
         if normalized:
             den_gx += pgx
             den_gy += pgy
@@ -253,6 +289,52 @@ def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
         (raw_gx * den - raw * den_gx) * inv,
         (raw_gy * den - raw * den_gy) * inv,
     )
+
+
+def _gradient2(spec: IPatchSpec, p: Point2) -> GradientVec:
+    """Gradient of a two-sided patch: ipatch_gradient's loop, written out.
+
+    Every sum starts from 0.0 as the loop's do, which turns a -0.0 first term
+    into 0.0, and the w0 terms come last.
+    """
+    x, y = p.x, p.y
+    b1, b2 = spec.boundings
+    w1, w2 = spec.weights
+    w0 = spec.w0
+    v1 = b1.a * x + b1.b * y + b1.c
+    v2 = b2.a * x + b2.b * y + b2.c
+    s1 = v1 * v1
+    s2 = v2 * v2
+    r1, r1x, r1y = _ribbon_gradient(spec.ribbons[0], x, y)
+    r2, r2x, r2y = _ribbon_gradient(spec.ribbons[1], x, y)
+    # gradients of the other side's square: 2 * B_j * grad B_j
+    f = 2.0 * v2
+    p1x = 0.0 + f * b2.a
+    p1y = 0.0 + f * b2.b
+    f = 2.0 * v1
+    p2x = 0.0 + f * b1.a
+    p2y = 0.0 + f * b1.b
+    f1 = w0 * 2.0 * v1 * s2
+    f2 = w0 * 2.0 * v2 * s1
+    gx = (0.0 + w1 * (r1x * s2 + r1 * p1x) + w2 * (r2x * s1 + r2 * p2x)
+          + f1 * b1.a + f2 * b2.a)
+    gy = (0.0 + w1 * (r1y * s2 + r1 * p1y) + w2 * (r2y * s1 + r2 * p2y)
+          + f1 * b1.b + f2 * b2.b)
+    form = spec.form
+    if form == RAW:
+        return GradientVec(gx, gy)
+    raw = 0.0 + w1 * r1 * s2 + w2 * r2 * s1 + w0 * (s1 * s2)
+    if form == NORMALIZED:
+        den = s2 + s1
+        den_gx = 0.0 + p1x + p2x
+        den_gy = 0.0 + p1y + p2y
+    else:
+        den = 0.0 + w1 * s2 + w2 * s1
+        den_gx = 0.0 + w1 * p1x + w2 * p2x
+        den_gy = 0.0 + w1 * p1y + w2 * p2y
+    _require_denominator(spec, den, p)
+    inv = 1.0 / (den * den)
+    return GradientVec((gx * den - raw * den_gx) * inv, (gy * den - raw * den_gy) * inv)
 
 
 @dataclass(frozen=True)

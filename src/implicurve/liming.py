@@ -181,15 +181,18 @@ def _search_samples(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
                     c: LineImplicit, center: Point2):
     """Points of Q with |L1*L2| above threshold, by ray bisection, in search order."""
     scale = q.max_abs()
-    coeffs = tuple(v / scale for v in q.coeffs())
-    qn = ConicCoeffs(*coeffs)
-    reach = 8.0 * (1.0 + math.hypot(center.x, center.y))
+    qa, qb, qc, qd, qe, qf = (v / scale for v in q.coeffs())
+    cx, cy = center.x, center.y
+    reach = 8.0 * (1.0 + math.hypot(cx, cy))
     for k in range(_SEARCH_RAYS):
         theta = (k + 0.5) * 2.0 * math.pi / _SEARCH_RAYS
         dx, dy = math.cos(theta), math.sin(theta)
 
         def f(t: float) -> float:
-            return qn.values(center.x + t * dx, center.y + t * dy)
+            # the normalised conic, as ConicCoeffs.values evaluates it
+            x = cx + t * dx
+            y = cy + t * dy
+            return (qa * x + qb * y + qd) * x + (qc * y + qe) * y + qf
 
         t_prev = reach * 1e-7
         f_prev = f(t_prev)
@@ -203,7 +206,7 @@ def _search_samples(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
             else:
                 t_prev, f_prev = t, ft
                 continue
-            s = Point2(center.x + root * dx, center.y + root * dy)
+            s = Point2(cx + root * dx, cy + root * dy)
             if _usable_sample(s, l1, l2, c):
                 yield s
             t_prev, f_prev = t, ft

@@ -20,9 +20,10 @@ lines = st.tuples(coords, coords, coords).filter(
 
 
 @st.composite
-def ipatches(draw):
-    """n-sided patches, n from 1 to 3, with one- and two-line ribbons."""
-    n = draw(st.integers(1, 3))
+def ipatches(draw, sides=st.integers(1, 3)):
+    """n-sided patches, n from 1 to 3 unless ``sides`` draws it, with one- and
+    two-line ribbons."""
+    n = draw(sides)
     ribbons = [tuple(draw(st.lists(lines, min_size=1, max_size=2))) for _ in range(n)]
     return IPatchSpec(ribbons, [draw(lines) for _ in range(n)],
                       [draw(weights) for _ in range(n)], draw(weights), draw(forms))
@@ -90,3 +91,23 @@ def spaced_angles(rng: np.random.Generator, count: int,
         gaps = np.diff(ts, append=ts[0] + 2.0 * math.pi)
         if np.all(gaps >= min_gap):
             return ts
+
+
+@st.composite
+def ellipse_tangents(draw, max_pairs):
+    """2k tangent lines of a random ellipse with their points, k >= 1.
+
+    The points sit at least 0.3 rad apart round the ellipse and pair up in a
+    random order, so secants may cross; no secant passes through a point of
+    another pair, since a line meets an ellipse at most twice.
+    """
+    k = draw(st.integers(1, max_pairs))
+    ell = Ellipse(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)),
+                  draw(st.floats(0.6, 1.6)), draw(st.floats(0.6, 1.6)),
+                  draw(st.floats(0.0, math.pi)))
+    gaps = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * k, max_size=2 * k))
+    free = 2.0 * math.pi - 0.3 * 2 * k
+    start = draw(st.floats(0.0, 2.0 * math.pi))
+    ts = start + np.cumsum([0.3 + free * g / (sum(gaps) or 1.0) for g in gaps])
+    ts = [ts[i] for i in draw(st.permutations(range(2 * k)))]
+    return ell, [ell.tangent_at(t) for t in ts], [ell.point_at(t) for t in ts]

@@ -203,6 +203,12 @@ class TestReproduce:
     def test_liming_scene_rejected(self, capsys):
         assert main(["reproduce", LIMING, "--conic=1,0,1,0,0,-1"]) == 1
 
+    def test_liming_scene_is_a_mode_conflict(self, capsys):
+        assert main(["reproduce", LIMING, "--conic=1,0,1,0,0,-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[ModeConflict]: reproduce requires")
+
 
 class TestThreePairs:
     def test_hexagon_renders_verifies_and_reproduces(self, tmp_path, capsys):

@@ -34,7 +34,13 @@ from implicurve.errors import (
 )
 from implicurve.poly import BivariatePoly
 
-from conftest import Ellipse, central_diff, coords, random_ellipse, spaced_angles
+from conftest import (
+    central_diff,
+    coords,
+    ellipse_tangents,
+    random_ellipse,
+    spaced_angles,
+)
 
 L1 = LineImplicit(-1, 0, 1)
 L2 = LineImplicit(0, -1, 1)
@@ -343,26 +349,6 @@ class TestFourTangentSpecInvariants:
             TangentPairSpec((L1, L2, L3, L4),
                             (Point2(0.9, 0.1), Point2(0, 1), Point2(-1, 0), Point2(0, -1)),
                             CIRCLE_WEIGHTS)
-
-
-@st.composite
-def ellipse_tangents(draw, max_pairs):
-    """2k tangent lines of a random ellipse with their points, k >= 1.
-
-    The points sit at least 0.3 rad apart round the ellipse and pair up in a
-    random order, so secants may cross; no secant passes through a point of
-    another pair, since a line meets an ellipse at most twice.
-    """
-    k = draw(st.integers(1, max_pairs))
-    ell = Ellipse(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)),
-                  draw(st.floats(0.6, 1.6)), draw(st.floats(0.6, 1.6)),
-                  draw(st.floats(0.0, math.pi)))
-    gaps = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * k, max_size=2 * k))
-    free = 2.0 * math.pi - 0.3 * 2 * k
-    start = draw(st.floats(0.0, 2.0 * math.pi))
-    ts = start + np.cumsum([0.3 + free * g / (sum(gaps) or 1.0) for g in gaps])
-    ts = [ts[i] for i in draw(st.permutations(range(2 * k)))]
-    return ell, [ell.tangent_at(t) for t in ts], [ell.point_at(t) for t in ts]
 
 
 class TestTangentPairs:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicurve import (
     ConicCoeffs,
@@ -28,7 +30,7 @@ from implicurve.errors import (
     SampleOnTangent,
 )
 
-from conftest import random_ellipse, spaced_angles
+from conftest import ellipse_tangents, random_ellipse, spaced_angles
 
 L1 = LineImplicit(-1, 0, 1)   # 1 - x
 L2 = LineImplicit(0, -1, 1)   # 1 - y
@@ -225,3 +227,21 @@ class TestTangency:
                 assert abs(conic_eval(q, touch)) < 1e-10
                 g = conic_gradient(q, touch)
                 assert abs(g.gx * line.b - g.gy * line.a) < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(ellipse_tangents(max_pairs=1),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_generated_blend_touches_both_tangents(self, tangents, lam):
+        _, lines, points = tangents
+        l1, l2 = lines
+        c = secant_line(*points)
+        spec = LimingSpec(l1, l2, c, lam)
+        for line, pt in zip(lines, points):
+            # the blend's scale at the point: both products of lines, taken
+            # with absolute coefficients and coordinates
+            r = 1.0 + abs(pt.x) + abs(pt.y)
+            size = [abs(m.a) + abs(m.b) + abs(m.c) for m in (l1, l2, c)]
+            scale = (size[0] * size[1] + size[2] ** 2) * r * r
+            assert abs(spec.value(pt)) <= 1e-12 * scale
+            g = spec.gradient(pt)
+            assert abs(g.gx * line.b - g.gy * line.a) <= 1e-12 * scale * line.normal_norm()

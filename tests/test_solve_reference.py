@@ -1,16 +1,19 @@
 """The scalar solve path against the loop versions it replaced.
 
-The patch gradient, the polynomial product and the ray bisection each had a
-plainer implementation; those are kept here as references.  The gradient and
-the bisection must match them bit for bit.  The polynomial product sums in
-another order, so it is held to a bound fixed from the dtype, 8 eps relative
-to the product of the absolute coefficient matrices.  A digest of solve
+The patch field and its gradient, the polynomial product and the ray
+bisection each had a plainer implementation; those are kept here as
+references, written out in this file so that they do not move with the code
+under test.  The field, the gradient and the bisection must match them bit
+for bit.  The polynomial product sums in another order, so it is held to a
+bound fixed from the dtype, 8 eps relative to the product of the absolute
+coefficient matrices.  A digest of solve
 outputs, recorded with the reference implementations in the package, pins the
 whole path on generated configurations.
 """
 
 import dataclasses
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -21,6 +24,7 @@ from implicurve import (
     GradientVec,
     IPatchSpec,
     LimingSpec,
+    LineImplicit,
     Point2,
     TangentConstraint,
     WeightTriple,
@@ -28,13 +32,14 @@ from implicurve import (
     fit_conic_two_tangents_one_point,
     four_tangent_patch,
     intersect_lines,
+    ipatch_eval,
     ipatch_gradient,
     recover_lambda,
     reproduce_conic_weights,
     secant_line,
 )
-from implicurve.errors import CurveError
-from implicurve.ipatch import FORMS, NORMALIZED, RAW, _field, _require_denominator
+from implicurve.errors import CurveError, ZeroDenominator
+from implicurve.ipatch import EPS_DEN, FAITHFUL, FORMS, NORMALIZED, RAW, ipatch_values
 from implicurve.liming import _bisect
 from implicurve.poly import BivariatePoly
 
@@ -61,10 +66,60 @@ def _prod_except2(values, skip1, skip2):
     return out
 
 
+def reference_field(spec: IPatchSpec, x, y):
+    """Numerator, denominator and parts of the blend, side by side in lists.
+
+    ``x`` and ``y`` are floats or arrays.  The denominator is None for the
+    raw form.
+    """
+    bvals = [b.a * x + b.b * y + b.c for b in spec.boundings]
+    bsq = [v * v for v in bvals]
+    pe = [_prod_except(bsq, i) for i in range(len(bsq))]
+    rib = []
+    for r in spec.ribbons:
+        v = r[0].a * x + r[0].b * y + r[0].c
+        if len(r) == 2:
+            v = v * (r[1].a * x + r[1].b * y + r[1].c)
+        rib.append(v)
+    w0_term = spec.w0 * math.prod(bsq)
+    num = w0_term
+    for w, r, e in zip(spec.weights, rib, pe):
+        num = num + w * r * e
+    if spec.form == RAW:
+        den = None
+    elif spec.form == NORMALIZED:
+        den = sum(pe)
+    else:
+        assert spec.form == FAITHFUL
+        den = sum(w * v for w, v in zip(spec.weights, pe))
+    return num, den, (bvals, bsq, pe, rib, w0_term)
+
+
+def _reference_check(den: float, p: Point2) -> None:
+    if abs(den) <= EPS_DEN:
+        raise ZeroDenominator(f"denominator zero at ({p.x}, {p.y})")
+
+
+def reference_value(spec: IPatchSpec, p: Point2) -> float:
+    num, den, _ = reference_field(spec, p.x, p.y)
+    if den is None:
+        return num
+    _reference_check(den, p)
+    return num / den
+
+
+def reference_values(spec: IPatchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    num, den, _ = reference_field(spec, x, y)
+    if den is None:
+        return num
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(den) > EPS_DEN, num / den, np.nan)
+
+
 def reference_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
     """Patch gradient through per-side tuple lists and generator sums."""
     x, y = p.x, p.y
-    _, den, (bvals, bsq, pe, rib, w0_term) = _field(spec, x, y)
+    _, den, (bvals, bsq, pe, rib, w0_term) = reference_field(spec, x, y)
     n = spec.sides
 
     pe_grad = []
@@ -101,7 +156,7 @@ def reference_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
     if den is None:
         return GradientVec(raw_gx, raw_gy)
 
-    _require_denominator(spec, den, p)
+    _reference_check(den, p)
     if spec.form == NORMALIZED:
         den_gx = sum(g[0] for g in pe_grad)
         den_gy = sum(g[1] for g in pe_grad)
@@ -153,9 +208,18 @@ def outcome(gradient, spec, p):
     return struct.pack("<2d", g.gx, g.gy)
 
 
+def value_outcome(value, spec, p):
+    """Packed value bytes, or the name of the error raised."""
+    try:
+        v = value(spec, p)
+    except (CurveError, ValueError) as exc:
+        return type(exc).__name__
+    return struct.pack("<d", v)
+
+
 @st.composite
-def patch_points(draw):
-    spec = draw(ipatches())
+def patch_points(draw, sides=st.integers(1, 3)):
+    spec = draw(ipatches(sides))
     if spec.sides > 1 and draw(st.booleans()):
         # where two bounding lines cross, every prod_{j != i} B_j^2 vanishes
         try:
@@ -172,6 +236,47 @@ def patch_points(draw):
 def test_gradient_matches_reference_bit_for_bit(case):
     spec, p = case
     assert outcome(ipatch_gradient, spec, p) == outcome(reference_gradient, spec, p)
+
+
+@settings(max_examples=600, deadline=None)
+@given(patch_points(st.just(2)), st.lists(st.tuples(coords, coords), max_size=6))
+def test_two_sided_patch_matches_reference_bit_for_bit(case, others):
+    spec, p = case
+    assert value_outcome(ipatch_eval, spec, p) == value_outcome(reference_value, spec, p)
+    assert outcome(ipatch_gradient, spec, p) == outcome(reference_gradient, spec, p)
+    # the array path, at p and further points, NaN where the point call raises
+    x = np.array([p.x] + [c[0] for c in others])
+    y = np.array([p.y] + [c[1] for c in others])
+    with np.errstate(all="ignore"):
+        got = ipatch_values(spec, x, y)
+        want = reference_values(spec, x, y)
+    assert got.tobytes() == want.tobytes()
+    for i in range(len(x)):
+        point = value_outcome(reference_value, spec, Point2(float(x[i]), float(y[i])))
+        expected = struct.pack("<d", np.nan) if point == "ZeroDenominator" else point
+        assert struct.pack("<d", got[i]) == expected
+
+
+def test_two_sided_signs_of_zero_match_reference():
+    # axis-aligned lines make gradient terms exactly zero, so the sign of a
+    # zero sum, which the 0.0 starts of the reference decide, reaches the output
+    rng = np.random.default_rng(5)
+    pool = [0.0, -0.0, 1.0, -1.0, 2.0]
+    zeros = [(0.0, 1.0), (-0.0, -1.0), (1.0, 0.0), (-1.0, -0.0)]
+
+    def line():
+        a, b = zeros[rng.integers(len(zeros))]
+        return LineImplicit(a, b, float(rng.choice(pool)))
+
+    for _ in range(1500):
+        ribbons = [tuple(line() for _ in range(rng.integers(1, 3))) for _ in range(2)]
+        ws = [float(rng.choice(pool)) for _ in range(3)]
+        spec = IPatchSpec(ribbons, [line(), line()], ws[:2], ws[2],
+                          FORMS[rng.integers(len(FORMS))])
+        for x, y in rng.choice([0.0, -0.0, 1.0, -1.0, -2.0, 0.5], (4, 2)):
+            p = Point2(float(x), float(y))
+            assert value_outcome(ipatch_eval, spec, p) == value_outcome(reference_value, spec, p)
+            assert outcome(ipatch_gradient, spec, p) == outcome(reference_gradient, spec, p)
 
 
 matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
