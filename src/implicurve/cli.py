@@ -80,19 +80,21 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     scene = _load_scene(args.scene)
     names = [n for n, _ in _ordered_tangents(scene.doc)]
+    points = scene.tangency_points
+    # every report before the first line of output, so bad tolerances print none
+    reports = [verify_tangency(scene.field, pt, line,
+                               tol_value=args.tol_value, tol_angle=args.tol_angle)
+               for line, pt in zip(scene.tangent_lines, points)]
     print(f"{'line':<10}{'point':<24}{'value_resid':<16}{'cross_resid':<16}status")
     passed = 0
-    total = len(scene.tangent_lines)
-    for name, line, pt in zip(names, scene.tangent_lines, scene.tangency_points):
-        report = verify_tangency(scene.field, pt, line,
-                                 tol_value=args.tol_value, tol_angle=args.tol_angle)
+    for name, pt, report in zip(names, points, reports):
         cross = "indeterminate" if report.indeterminate else f"{report.cross_residual:.3e}"
         status = "pass" if report.passed else "FAIL"
         passed += report.passed
         print(f"{name:<10}{f'({_fmt(pt.x)}, {_fmt(pt.y)})':<24}"
               f"{report.value_residual:<16.3e}{cross:<16}{status}")
-    print(f"{passed}/{total} tangencies pass")
-    return 0 if passed == total else 1
+    print(f"{passed}/{len(reports)} tangencies pass")
+    return 0 if passed == len(reports) else 1
 
 
 def cmd_reproduce(args) -> int:

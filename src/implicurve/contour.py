@@ -348,8 +348,13 @@ def verify_tangency(field: FieldRef, p: Point2, line: LineImplicit,
                     tol_value: float = 1e-8, tol_angle: float = 1e-8) -> TangencyReport:
     """Check that the field vanishes at p with gradient parallel to the line's.
 
-    Never raises; evaluation failures yield a failed, indeterminate report.
+    Raises ValueError for a negative or non-finite tolerance; evaluation
+    failures yield a failed, indeterminate report.
     """
+    # false for NaN as well
+    if not (0.0 <= tol_value < math.inf and 0.0 <= tol_angle < math.inf):
+        raise ValueError("tolerances must be finite and non-negative, got "
+                         f"tol_value={tol_value!r}, tol_angle={tol_angle!r}")
     try:
         value_residual = abs(field.value(p))
         g = field.gradient(p)

@@ -74,10 +74,6 @@ class GradientVec:
     def norm(self) -> float:
         return math.hypot(self.gx, self.gy)
 
-    def cross(self, other: GradientVec) -> float:
-        """2-D cross product, zero iff the two directions are parallel."""
-        return self.gx * other.gy - self.gy * other.gx
-
 
 @dataclass(frozen=True)
 class LineImplicit:

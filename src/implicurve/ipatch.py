@@ -137,34 +137,33 @@ def _ribbon(r: tuple[LineImplicit, ...], x, y):
 
 
 def _field(spec: IPatchSpec, x, y):
-    """Numerator, denominator and parts of an n-sided blend at (x, y).
+    """Numerator and denominator of an n-sided blend at (x, y).
 
     ``x`` and ``y`` are floats or numpy arrays that broadcast together; the
     arithmetic is the same for both, so a lattice sample equals the point
     value bit for bit.  The denominator is that of the selected form (None
-    for ``raw``); the parts are the bounding values B_j, their squares, the
-    products prod_{j != i} B_j^2 and the term w0 * prod_j B_j^2.  Two-sided
-    patches go through :func:`_field2`, which does the same float operations.
+    for ``raw``).  Only the squares B_j^2 are kept for the whole loop; each
+    product prod_{j != i} B_j^2 and ribbon goes into both sums and is
+    dropped, so on a lattice no other intermediate array outlives its side.
+    Two-sided patches go through :func:`_field2`, which does the same float
+    operations.
     """
-    bvals = []
     bsq = []
     for b in spec.boundings:
         v = b.a * x + b.b * y + b.c
-        bvals.append(v)
         bsq.append(v * v)
-    pe = [_prod_except(bsq, i) for i in range(len(bsq))]
-    rib = [_ribbon(r, x, y) for r in spec.ribbons]
-    w0_term = spec.w0 * math.prod(bsq)
-    num = w0_term
-    for w, r, e in zip(spec.weights, rib, pe):
-        num = num + w * r * e
-    if spec.form == RAW:
-        den = None
-    elif spec.form == NORMALIZED:
-        den = sum(pe)
-    else:
-        den = sum(w * v for w, v in zip(spec.weights, pe))
-    return num, den, (bvals, bsq, pe, w0_term)
+    form = spec.form
+    num = spec.w0 * math.prod(bsq)
+    # sum()'s int 0 start, which turns a weighted -0.0 into 0.0
+    den = None if form == RAW else 0
+    for i, (r, w) in enumerate(zip(spec.ribbons, spec.weights)):
+        e = _prod_except(bsq, i)
+        num = num + w * _ribbon(r, x, y) * e
+        if form == NORMALIZED:
+            den = den + e
+        elif form == FAITHFUL:
+            den = den + w * e
+    return num, den
 
 
 def _field2(spec: IPatchSpec, x, y):
@@ -205,10 +204,8 @@ def ipatch_eval(spec: IPatchSpec, p: Point2) -> float:
     Raises ZeroDenominator for the normalized/faithful forms at common zeros
     of the relevant bounding products.
     """
-    if len(spec.boundings) == 2:
-        num, den = _field2(spec, p.x, p.y)
-    else:
-        num, den, _ = _field(spec, p.x, p.y)
+    kernel = _field2 if len(spec.boundings) == 2 else _field
+    num, den = kernel(spec, p.x, p.y)
     if den is None:
         return num
     _require_denominator(spec, den, p)
@@ -221,10 +218,8 @@ def ipatch_values(spec: IPatchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Each element equals :func:`ipatch_eval` at that point bit for bit; where
     the point call raises ZeroDenominator the array holds NaN.
     """
-    if len(spec.boundings) == 2:
-        num, den = _field2(spec, x, y)
-    else:
-        num, den, _ = _field(spec, x, y)
+    kernel = _field2 if len(spec.boundings) == 2 else _field
+    num, den = kernel(spec, x, y)
     if den is None:
         return num
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -247,16 +242,19 @@ def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
     if len(spec.boundings) == 2:
         return _gradient2(spec, p)
     x, y = p.x, p.y
-    _, den, (bvals, bsq, pe, w0_term) = _field(spec, x, y)
-    n = len(bsq)
     boundings = spec.boundings
+    bvals = [b.a * x + b.b * y + b.c for b in boundings]
+    bsq = [v * v for v in bvals]
+    n = len(bsq)
+    pe = [_prod_except(bsq, i) for i in range(n)]
     normalized = spec.form == NORMALIZED
 
-    # one pass over the sides: raw form and its gradient, and the gradient of
-    # the denominator, each summed in side order.  The w0 term comes last,
-    # unlike _field's numerator: the two orders can differ in the last bit,
-    # and this one keeps gradients bit-stable across releases
-    raw = raw_gx = raw_gy = den_gx = den_gy = 0.0
+    # one pass over the sides: raw form and its gradient, and the denominator
+    # and its gradient, each summed in side order as _field sums them.  The
+    # w0 term comes last, unlike _field's numerator: the two orders can
+    # differ in the last bit, and this one keeps gradients bit-stable across
+    # releases
+    raw = raw_gx = raw_gy = den = den_gx = den_gy = 0.0
     for i, (r, w) in enumerate(zip(spec.ribbons, spec.weights)):
         # gradient of prod_{j != i} B_j^2
         pgx = pgy = 0.0
@@ -270,17 +268,19 @@ def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
         raw_gx += w * (rgx * pe[i] + rib * pgx)
         raw_gy += w * (rgy * pe[i] + rib * pgy)
         if normalized:
+            den += pe[i]
             den_gx += pgx
             den_gy += pgy
         else:
+            den += w * pe[i]
             den_gx += w * pgx
             den_gy += w * pgy
-    raw += w0_term
+    raw += spec.w0 * math.prod(bsq)
     for k in range(n):
         factor = spec.w0 * 2.0 * bvals[k] * pe[k]  # pe[k] = prod_{j != k} B_j^2
         raw_gx += factor * boundings[k].a
         raw_gy += factor * boundings[k].b
-    if den is None:
+    if spec.form == RAW:
         return GradientVec(raw_gx, raw_gy)
 
     _require_denominator(spec, den, p)

@@ -37,7 +37,7 @@ from .geom import (
 # sample-point search parameters
 _MIN_TANGENT_PRODUCT = 1e-6
 _SEARCH_RAYS = 64
-_SEARCH_STEPS = 192
+_SEARCH_REFINEMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,11 @@ def recover_lambda(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
     """Recover (t, omega) with (1 - t)*L1*L2 - t*C^2 == omega * Q.
 
     ``sample`` must be a point of Q off both tangent lines; when omitted, one
-    is searched for by bisecting Q along rays fanned out from the centroid of
-    the tangency points (or from ``search_center``).  A searched sample can
-    lie so close to a tangency point that rounding fails the identity check
-    below; the search then goes on to its next candidate, and only when every
+    is searched for among the closed-form roots of Q on rays fanned out from
+    the centroid of the tangency points (or from ``search_center``), the
+    first ray along the secant's normal, then on finer fans in between.
+    Should a searched sample still fail the identity check below by
+    rounding, the search goes on to its next candidate, and only when every
     candidate fails is the first failure raised.
 
     The returned ``t`` is exactly L1(s)*L2(s) / (L1(s)*L2(s) + C(s)^2); it is
@@ -179,37 +180,58 @@ def _default_center(l1: LineImplicit, l2: LineImplicit, c: LineImplicit) -> Poin
 
 def _search_samples(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
                     c: LineImplicit, center: Point2):
-    """Points of Q with |L1*L2| above threshold, by ray bisection, in search order."""
+    """Points of Q with |L1*L2| above threshold, in search order.
+
+    The rays fan out from ``center`` at the angles of :func:`_ray_angles`,
+    the first along the secant's normal, so that its sample lies as far from
+    both tangency points as the geometry allows.  Along the ray
+    center + t*d the normalised conic is the quadratic A*t^2 + B*t + C0,
+    whose roots in (0, reach] are taken in closed form, nearest first.
+    """
     scale = q.max_abs()
     qa, qb, qc, qd, qe, qf = (v / scale for v in q.coeffs())
     cx, cy = center.x, center.y
     reach = 8.0 * (1.0 + math.hypot(cx, cy))
-    for k in range(_SEARCH_RAYS):
-        theta = (k + 0.5) * 2.0 * math.pi / _SEARCH_RAYS
+    # the normalised conic and its gradient at the center
+    c0 = (qa * cx + qb * cy + qd) * cx + (qc * cy + qe) * cy + qf
+    gx = 2.0 * qa * cx + qb * cy + qd
+    gy = qb * cx + 2.0 * qc * cy + qe
+    for theta in _ray_angles(math.atan2(c.b, c.a)):
         dx, dy = math.cos(theta), math.sin(theta)
+        a = (qa * dx + qb * dy) * dx + qc * dy * dy
+        b = gx * dx + gy * dy
+        disc = b * b - 4.0 * a * c0
+        if disc < 0.0:
+            continue
+        # qq and b share a sign, so neither root cancels; a zero qq or a
+        # drops the root it would divide by (a line, or no root at all)
+        qq = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
+        roots = []
+        if qq != 0.0:
+            roots.append(c0 / qq)
+        if a != 0.0:
+            roots.append(qq / a)
+        for t in sorted(roots):
+            if 0.0 < t <= reach:
+                s = Point2(cx + t * dx, cy + t * dy)
+                if _usable_sample(s, l1, l2, c):
+                    yield s
 
-        def f(t: float) -> float:
-            # the normalised conic, as ConicCoeffs.values evaluates it
-            x = cx + t * dx
-            y = cy + t * dy
-            return (qa * x + qb * y + qd) * x + (qc * y + qe) * y + qf
 
-        t_prev = reach * 1e-7
-        f_prev = f(t_prev)
-        for step in range(1, _SEARCH_STEPS + 1):
-            t = reach * step / _SEARCH_STEPS
-            ft = f(t)
-            if f_prev == 0.0:
-                root = t_prev
-            elif ft == 0.0 or (ft > 0.0) != (f_prev > 0.0):
-                root = _bisect(f, t_prev, t)
-            else:
-                t_prev, f_prev = t, ft
-                continue
-            s = Point2(cx + root * dx, cy + root * dy)
-            if _usable_sample(s, l1, l2, c):
-                yield s
-            t_prev, f_prev = t, ft
+def _ray_angles(start: float):
+    """_SEARCH_RAYS even angles from ``start``, then the angles halfway
+    between those so far, _SEARCH_REFINEMENTS times.
+
+    Seen from the center, a thin hyperbola through both tangency points
+    spans only a narrow cone about the chord, which the first fan can miss.
+    """
+    n = _SEARCH_RAYS
+    ks = range(n)
+    for _ in range(_SEARCH_REFINEMENTS + 1):
+        for k in ks:
+            yield start + k * 2.0 * math.pi / n
+        n *= 2
+        ks = range(1, n, 2)
 
 
 def _usable_sample(s: Point2, l1: LineImplicit, l2: LineImplicit,
@@ -227,21 +249,3 @@ def _secant_square(c: LineImplicit, s: Point2) -> float:
         return c.value(s) ** 2
     except OverflowError as exc:
         raise NotReproducible(f"squared secant overflows at {s}") from exc
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            # no float lies strictly inside the bracket: every further
-            # halving leaves it as it is and ends at this same mid
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

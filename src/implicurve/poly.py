@@ -18,10 +18,6 @@ class BivariatePoly:
         self.coeffs = c
 
     @classmethod
-    def zero(cls) -> BivariatePoly:
-        return cls(np.zeros((1, 1)))
-
-    @classmethod
     def from_line(cls, line: LineImplicit) -> BivariatePoly:
         return cls(np.array([[line.c, line.b], [line.a, 0.0]]))
 

@@ -164,6 +164,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert not out.splitlines()[-1].startswith("4/4")
 
+    @pytest.mark.parametrize("option, value", [
+        ("--tol-value", "nan"), ("--tol-value", "-1"), ("--tol-value", "inf"),
+        ("--tol-angle", "nan"), ("--tol-angle", "-1e-8"), ("--tol-angle", "inf"),
+    ])
+    def test_bad_tolerance_is_validation_error(self, option, value, capsys):
+        assert main(["verify", CIRCLE, f"{option}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[Validation]:")
+        assert f"{option.lstrip('-').replace('-', '_')}={float(value)!r}" in captured.err
+
     def test_perturbed_point_is_validation_error(self, tmp_path, capsys):
         text = Path(CIRCLE).read_text().replace("point p2 0 1", "point p2 0 0.99")
         bad = tmp_path / "bad.scene"

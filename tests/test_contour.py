@@ -225,3 +225,12 @@ class TestVerifyTangency:
         pole = intersect_lines(spec.c1, spec.c2)
         report = verify_tangency(spec, pole, LineImplicit(1, 0, -1))
         assert not report.passed and report.indeterminate
+
+    @pytest.mark.parametrize("tols", [
+        {"tol_value": math.nan}, {"tol_value": -1.0},
+        {"tol_angle": math.inf}, {"tol_angle": -0.5},
+    ])
+    def test_bad_tolerance_is_rejected(self, tols):
+        spec = crossing_secant_patch(NORMALIZED)
+        with pytest.raises(ValueError, match="tolerances must be finite and non-negative"):
+            verify_tangency(spec, Point2(1, 0), LineImplicit(-1, 0, 1), **tols)

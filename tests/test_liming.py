@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from implicurve.errors import (
     SampleNotOnConic,
     SampleOnTangent,
 )
+from implicurve import liming
 
 from conftest import ellipse_tangents, random_ellipse, spaced_angles
 
@@ -158,9 +160,13 @@ class TestRecoverLambda:
             recover_lambda(CIRCLE, big, big, big, Point2(0.6, 0.8))
 
     def test_search_moves_past_sample_failing_identity_check(self):
-        # the second pair's chord lies 0.1 degrees off the first search ray,
-        # so the first sample found sits next to a tangency point and its
-        # recovered parameter misses the 1e-9 identity check by rounding
+        # the second pair's chord lies 0.1 degrees off the ray at pi/64, where
+        # a search with fixed ray angles started: its first sample sat next
+        # to a tangency point and its recovered parameter missed the 1e-9
+        # identity check by rounding.  The first ray now leaves the chord
+        # along the secant's normal; the configuration stays as a regression
+        # case, and test_search_moves_on_after_not_reproducible checks the
+        # moving on itself
         q = ConicCoeffs(0.570035308277901, 0.03579487954652827, 0.6271594057237229,
                         -0.4297388537479756, -0.5260614044919031, -0.8141841863773052)
         lines = [LineImplicit(0.24437462960162304, 0.9696808961751642, 0.7720808393619445),
@@ -177,6 +183,124 @@ class TestRecoverLambda:
         blend = liming_conic(LimingSpec(lines[2], lines[3], c, rec.lam))
         assert equal_up_to_scale(blend, q.scaled(rec.omega), rtol=1e-9)
         reproduce_conic_weights(q, lines, points)
+
+    @pytest.mark.parametrize("l1, l2, p1, p2, lam", [
+        (LineImplicit(0.998876479034374, -0.04738965743589707, -0.3345621176895436),
+         LineImplicit(0.8484936562487299, 0.529205551091126, 0.732370405417863),
+         Point2(0.294129409405139, -0.8601701520551792),
+         Point2(-1.7461576914190826, 1.4157699536907207), 0.7945834148323518),
+        (LineImplicit(0.6759509746654467, 0.7369465922635321, -0.6616762320875997),
+         LineImplicit(-0.005614451407830426, 0.9999842388434875, 0.8697824033646996),
+         Point2(1.775215217970041, -0.7304222997854546),
+         Point2(-0.42985986008711974, -0.8722095776930012), 0.9705676327748701),
+        (LineImplicit(0.9791155318835222, 0.20330463650504263, -0.5640246459861209),
+         LineImplicit(0.7952557301549313, 0.6062741324316476, 0.2660487598564375),
+         Point2(0.21085962319015028, 1.758782878838422),
+         Point2(0.6525277108113441, -1.2947528501927934), 0.986798927581894),
+    ])
+    def test_search_finds_thin_hyperbola(self, l1, l2, p1, p2, lam):
+        # tangents oriented away from each other make the blend a thin
+        # hyperbola through both tangency points, which the chord midpoint
+        # sees only within a degree or less of the chord: between the rays
+        # of the first fan, down to the finest fan for the last case
+        c = secant_line(p1, p2)
+        rec = recover_lambda(LimingSpec(l1, l2, c, lam).conic, l1, l2, c)
+        assert rec.lam == pytest.approx(lam, rel=1e-12)
+        assert rec.omega == pytest.approx(1.0, rel=1e-12)
+
+    def test_search_rays_with_degenerate_quadratics(self):
+        # y^2 = x touched at (1, 1) and (1, -1), where the blend has t = 1/5:
+        # the first ray runs along +x, on which the conic has no t^2 term
+        q = ConicCoeffs(0, 0, 1, -1, 0, 0)
+        rec = recover_lambda(q, LineImplicit(-1, 2, -1), LineImplicit(-1, -2, -1),
+                             secant_line(Point2(1, 1), Point2(1, -1)))
+        assert (rec.lam, rec.omega) == pytest.approx((0.2, -3.2), rel=1e-12)
+        # the unit circle searched from its point (0, 1), where the first
+        # ray, along +x, is tangent: both of that ray's roots are zero
+        rec = recover_lambda(CIRCLE, LineImplicit(0, -1, 1), LineImplicit(0, 1, 1),
+                             secant_line(Point2(0, 1), Point2(0, -1)),
+                             search_center=Point2(0, 1))
+        assert (rec.lam, rec.omega) == pytest.approx((0.2, 0.8), rel=1e-12)
+
+    def test_search_takes_nearer_root_first(self, monkeypatch):
+        # from (2, 2) the first ray, along the secant's normal, crosses the
+        # circle twice
+        tried = []
+        recover_at = liming._recover_at
+
+        def record(q, l1, l2, c, sample):
+            tried.append(sample)
+            return recover_at(q, l1, l2, c, sample)
+
+        monkeypatch.setattr(liming, "_recover_at", record)
+        recover_lambda(CIRCLE, L1, L2, C, search_center=Point2(2, 2))
+        assert tried[0].x == pytest.approx(math.sqrt(0.5))
+        assert tried[0].y == pytest.approx(math.sqrt(0.5))
+
+    def test_search_moves_on_after_not_reproducible(self, monkeypatch):
+        tried = []
+        recover_at = liming._recover_at
+
+        def first_fails(q, l1, l2, c, sample):
+            tried.append(sample)
+            if len(tried) == 1:
+                raise NotReproducible("first candidate")
+            return recover_at(q, l1, l2, c, sample)
+
+        monkeypatch.setattr(liming, "_recover_at", first_fails)
+        rec = recover_lambda(CIRCLE, L1, L2, C)
+        assert len(tried) == 2 and tried[0] != tried[1]
+        assert rec.lam == pytest.approx(1.0 / 3.0)
+
+        def all_fail(q, l1, l2, c, sample):
+            tried.append(sample)
+            raise NotReproducible(f"candidate {len(tried)}")
+
+        tried.clear()
+        monkeypatch.setattr(liming, "_recover_at", all_fail)
+        with pytest.raises(NotReproducible, match="candidate 1$"):
+            recover_lambda(CIRCLE, L1, L2, C)
+        assert len(tried) > 1
+
+
+def _exact_line_product(u: LineImplicit, v: LineImplicit) -> list[Fraction]:
+    ua, ub, uc = map(Fraction, (u.a, u.b, u.c))
+    va, vb, vc = map(Fraction, (v.a, v.b, v.c))
+    return [ua * va, ua * vb + va * ub, ub * vb, ua * vc + va * uc,
+            ub * vc + vb * uc, uc * vc]
+
+
+def _identity_residual(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
+                       c: LineImplicit, lam: float) -> float:
+    """max|blend - s*Q| / max|blend| in exact rationals, s by least squares."""
+    t = Fraction(lam)
+    blend = [(1 - t) * u - t * v
+             for u, v in zip(_exact_line_product(l1, l2), _exact_line_product(c, c))]
+    qs = [Fraction(v) for v in q.coeffs()]
+    s = sum(b * v for b, v in zip(blend, qs)) / sum(v * v for v in qs)
+    return float(max(abs(b - s * v) for b, v in zip(blend, qs)) / max(map(abs, blend)))
+
+
+class TestRecoveryAccuracy:
+    def test_searched_lambda_meets_identity_exactly(self):
+        # a searched sample next to a tangency point leaves the recovered t
+        # ill-conditioned: it still passes the 1e-9 float check but misses
+        # the exact identity by far more than rounding of the inputs
+        rng = np.random.default_rng(11)
+        residuals = []
+        for _ in range(100):
+            ell = random_ellipse(rng)
+            q = ell.conic
+            ts = spaced_angles(rng, 4)
+            lines = [ell.tangent_at(t) for t in ts]
+            points = [ell.point_at(t) for t in ts]
+            for i, center in ((0, None), (2, points[2].midpoint(points[3]))):
+                c = secant_line(points[i], points[i + 1])
+                for l1 in (lines[i], lines[i].flipped()):
+                    rec = recover_lambda(q, l1, lines[i + 1], c, search_center=center)
+                    residuals.append(_identity_residual(q, l1, lines[i + 1], c, rec.lam))
+        bad = [r for r in residuals if r > 1e-12]
+        assert not bad, f"{len(bad)} of {len(residuals)} above 1e-12, worst {max(bad):.3g}"
 
 
 class TestRecoveryUniqueness:

@@ -1,14 +1,12 @@
 """The scalar solve path against the loop versions it replaced.
 
-The patch field and its gradient, the polynomial product and the ray
-bisection each had a plainer implementation; those are kept here as
-references, written out in this file so that they do not move with the code
-under test.  The field, the gradient and the bisection must match them bit
-for bit.  The polynomial product sums in another order, so it is held to a
-bound fixed from the dtype, 8 eps relative to the product of the absolute
-coefficient matrices.  A digest of solve
-outputs, recorded with the reference implementations in the package, pins the
-whole path on generated configurations.
+The patch field and its gradient and the polynomial product each had a
+plainer implementation; those are kept here as references, written out in
+this file so that they do not move with the code under test.  The field and
+the gradient must match them bit for bit.  The polynomial product sums in
+another order, so it is held to a bound fixed from the dtype, 8 eps relative
+to the product of the absolute coefficient matrices.  A digest of solve
+outputs pins the whole path on generated configurations.
 """
 
 import dataclasses
@@ -17,7 +15,7 @@ import math
 import struct
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicurve import (
@@ -40,7 +38,6 @@ from implicurve import (
 )
 from implicurve.errors import CurveError, ZeroDenominator
 from implicurve.ipatch import EPS_DEN, FAITHFUL, FORMS, NORMALIZED, RAW, ipatch_values
-from implicurve.liming import _bisect
 from implicurve.poly import BivariatePoly
 
 from conftest import coords, ipatches, random_ellipse, spaced_angles
@@ -182,21 +179,6 @@ def reference_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_bisect(f, lo: float, hi: float) -> float:
-    """Bisection that always runs its 90 halvings."""
-    flo = f(lo)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 # -- properties --------------------------------------------------------------
 
 def outcome(gradient, spec, p):
@@ -296,23 +278,6 @@ def test_product_within_bound_of_reference(a, b):
     assert np.all(np.abs(got - want) <= bound)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.floats(-1e3, 1e3).filter(bool), st.floats(-4.0, 4.0), st.floats(1e-12, 8.0),
-       st.floats(0.0, 1.0), st.floats(1e-9, 1e3), st.booleans())
-def test_bisect_matches_reference(a, lo, width, at, away, below):
-    # a quadratic with one root in [lo, lo + width] and the other outside
-    hi = lo + width
-    root = lo + at * width
-    other = lo - away if below else hi + away
-
-    def f(t):
-        return a * (t - root) * (t - other)
-
-    assume(f(lo) != 0.0 and (f(hi) == 0.0 or (f(hi) > 0.0) != (f(lo) > 0.0)))
-    assert struct.pack("<d", _bisect(f, lo, hi)) == \
-        struct.pack("<d", reference_bisect(f, lo, hi))
-
-
 def test_expansion_within_bound_of_reference():
     # the same 8 eps bound, taken relative to the expansion of the absolute
     # values of every factor and weight
@@ -397,8 +362,9 @@ def _solve_outputs(rng) -> list[str]:
     return out
 
 
-# recorded with the reference gradient, product and bisection in the package
-SOLVE_OUTPUTS_SHA256 = "b02b43bcd2da0abee9539febb81683c76b6295ca08e267ea3d9a9363ffab0d94"
+# recorded with the reference gradient and product in the package and the
+# closed-form ray roots of recover_lambda's sample search
+SOLVE_OUTPUTS_SHA256 = "41851d6cca0f43ae5b35d87351568cd4af2dd79b740f63b9fe1868217d6a96b1"
 
 
 def test_solve_outputs_match_recorded_digest():
