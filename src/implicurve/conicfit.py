@@ -1,17 +1,24 @@
 """Conic fitting from two tangential constraints plus one interpolation point.
 
-A tangential constraint at (x, y) with prescribed gradient direction (m, n)
-contributes two homogeneous equations on the six conic coefficients:
+The fit takes Liming's construction: the conics tangent to L1 at P1 and to
+L2 at P2 are the pencil (1 - t)*L1*L2 - t*C^2, C the secant through P1 and
+P2, and the one through P3 is its member at
+t = L1L2(P3) / (L1L2(P3) + C(P3)^2), formed in closed form in Python floats.
+
+The same conic solves a linear formulation, kept for reference and tests: a
+tangential constraint at (x, y) with prescribed gradient direction (m, n)
+contributes two homogeneous equations on the six conic coefficients,
 
     f(x, y) = 0
     m * df/dy(x, y) - n * df/dx(x, y) = 0
 
-Two such constraints and one plain interpolation point give a 5 x 6
-homogeneous system; when its rank is 5 the solution space is one-dimensional
-and the conic is determined up to scale.
+and two such constraints with one plain interpolation point give a 5 x 6
+homogeneous system whose null space, at rank 5, is the conic up to scale.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -80,11 +87,7 @@ def build_constraint_system(t1: TangentConstraint, t2: TangentConstraint,
 
     Raises DegenerateInput when any two of the three points coincide.
     """
-    pts = (t1.at, t2.at, p3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if pts[i].distance_to(pts[j]) <= EPS_DEGENERATE:
-                raise DegenerateInput(f"constraint points {pts[i]} and {pts[j]} coincide")
+    _require_distinct((t1.at, t2.at, p3), 1.0)
     return ConstraintSystem([
         interpolation_row(t1.at),
         interpolation_row(t2.at),
@@ -92,6 +95,14 @@ def build_constraint_system(t1: TangentConstraint, t2: TangentConstraint,
         tangential_row(t1),
         tangential_row(t2),
     ])
+
+
+def _require_distinct(pts, sigma: float) -> None:
+    """Raise DegenerateInput when two of the points lie within
+    EPS_DEGENERATE * sigma of each other."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if pts[i].distance_to(pts[j]) / sigma <= EPS_DEGENERATE:
+            raise DegenerateInput(f"constraint points {pts[i]} and {pts[j]} coincide")
 
 
 def null_space_1d(system: ConstraintSystem) -> ConicCoeffs:
@@ -112,43 +123,64 @@ def null_space_1d(system: ConstraintSystem) -> ConicCoeffs:
     return ConicCoeffs(*_sign_normalized(v))
 
 
-def _sign_normalized(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    thresh = 1e-12 * np.max(np.abs(v))
+def _sign_normalized(v) -> tuple[float, ...]:
+    """Unit-norm copy of ``v`` as floats, its first component above noise
+    level positive."""
+    norm = math.hypot(*v)
+    thresh = 1e-12 * max(abs(comp) for comp in v)
     for comp in v:
         if abs(comp) > thresh:
             if comp < 0.0:
-                v = -v
+                norm = -norm
             break
-    return v
+    return tuple(float(comp) / norm for comp in v)
 
 
 def fit_conic_two_tangents_one_point(t1: TangentConstraint, t2: TangentConstraint,
                                      p3: Point2) -> ConicCoeffs:
     """Fit the unique conic through two tangential constraints and one point.
 
-    Points are internally mapped to a unit box before assembly (the quadratic
-    columns square coordinate magnitudes, so conditioning demands it) and the
-    result is mapped back, unit-normalized.  The fit is post-validated:
-    residuals at the three points and gradient parallelism at the two
-    tangential constraints must come out clean.
+    The conics tangent to L1 at P1 and to L2 at P2 form the pencil
+    (1 - t)*L1*L2 - t*C^2 of Liming's construction, C the secant through P1
+    and P2.  Its member through P3 is csq*L1*L2 - prod*C^2 with
+    prod = L1(P3)*L2(P3) and csq = C(P3)^2, returned unit-normalized in
+    Python floats.  RankDeficient is raised when P3 is a base point of the
+    pencil or the pencil collapses (both tangents are the chord), and when
+    the fit fails its post-validation: residuals at the three points and
+    gradient parallelism at the two tangential constraints must come out
+    clean.  Points closer than EPS_DEGENERATE relative to their spread raise
+    DegenerateInput.
     """
     pts = (t1.at, t2.at, p3)
     mx = sum(p.x for p in pts) / 3.0
     my = sum(p.y for p in pts) / 3.0
     spread = max(max(abs(p.x - mx), abs(p.y - my)) for p in pts)
-    sigma = spread if spread > EPS_DEGENERATE else 1.0
+    _require_distinct(pts, spread if spread > EPS_DEGENERATE else 1.0)
 
-    def to_unit(p: Point2) -> Point2:
-        return Point2((p.x - mx) / sigma, (p.y - my) / sigma)
-
-    system = build_constraint_system(
-        TangentConstraint(to_unit(t1.at), t1.grad),
-        TangentConstraint(to_unit(t2.at), t2.grad),
-        to_unit(p3),
-    )
-    unit_conic = null_space_1d(system)
-    conic = _compose_with_unit_map(unit_conic, mx, my, sigma)
+    (x1, y1), (x2, y2), (x3, y3) = ((p.x, p.y) for p in pts)
+    l1 = _unit_line(t1.grad.gx, t1.grad.gy, x1, y1)
+    l2 = _unit_line(t2.grad.gx, t2.grad.gy, x2, y2)
+    c = _unit_line(y1 - y2, x2 - x1, x1, y1)
+    # values at P3 from differences, free of the lines' offsets; the two
+    # weights are scaled into [-1, 1] so that far data does not overflow
+    v1 = l1.a * (x3 - x1) + l1.b * (y3 - y1)
+    v2 = l2.a * (x3 - x2) + l2.b * (y3 - y2)
+    vc = c.a * (x3 - x1) + c.b * (y3 - y1)
+    prod = v1 * v2
+    csq = vc * vc
+    k = max(abs(prod), csq)
+    if k == 0.0:
+        raise RankDeficient(f"{p3} is a base point of the tangent/secant pencil")
+    prod /= k
+    csq /= k
+    q12 = _line_product_coeffs(l1, l2)
+    qcc = _line_product_coeffs(c, c)
+    member = [csq * u - prod * v for u, v in zip(q12, qcc)]
+    scale = max(csq * max(map(abs, q12)), abs(prod) * max(map(abs, qcc)))
+    if not max(map(abs, member)) > EPS_RANK * scale:
+        raise RankDeficient("the tangent/secant pencil collapses: both tangents "
+                            "are the chord, or the fit overflows")
+    conic = ConicCoeffs(*_sign_normalized(member))
 
     qscale = conic.max_abs()
     for p in pts:
@@ -162,19 +194,8 @@ def fit_conic_two_tangents_one_point(t1: TangentConstraint, t2: TangentConstrain
     return conic
 
 
-def _compose_with_unit_map(q: ConicCoeffs, mx: float, my: float,
-                           sigma: float) -> ConicCoeffs:
-    """Pull a conic in unit-box coordinates back to the original frame."""
-    u = LineImplicit(1.0 / sigma, 0.0, -mx / sigma)
-    v = LineImplicit(0.0, 1.0 / sigma, -my / sigma)
-    uu = _line_product_coeffs(u, u)
-    uv = _line_product_coeffs(u, v)
-    vv = _line_product_coeffs(v, v)
-    lin_u = (0.0, 0.0, 0.0, u.a, u.b, u.c)
-    lin_v = (0.0, 0.0, 0.0, v.a, v.b, v.c)
-    const = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
-    combo = [
-        q.a * t0 + q.b * t1 + q.c * t2 + q.d * t3 + q.e * t4 + q.f * t5
-        for t0, t1, t2, t3, t4, t5 in zip(uu, uv, vv, lin_u, lin_v, const)
-    ]
-    return ConicCoeffs(*_sign_normalized(np.asarray(combo)))
+def _unit_line(nx: float, ny: float, x: float, y: float) -> LineImplicit:
+    """The line through (x, y) with normal (nx, ny) scaled to unit length."""
+    n = math.hypot(nx, ny)
+    a, b = nx / n, ny / n
+    return LineImplicit(a, b, -(a * x + b * y))

@@ -111,9 +111,10 @@ def recover_lambda(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
     is searched for among the closed-form roots of Q on rays fanned out from
     the centroid of the tangency points (or from ``search_center``), the
     first ray along the secant's normal, then on finer fans in between.
-    Should a searched sample still fail the identity check below by
-    rounding, the search goes on to its next candidate, and only when every
-    candidate fails is the first failure raised.
+    Should a searched sample fail the identity check below by rounding, the
+    rest of its fan is tried; when none of them passes, the first failure
+    is raised.  Only when no fan from the center yields a usable sample are
+    rays from each tangency point tried, in the same order.
 
     The returned ``t`` is exactly L1(s)*L2(s) / (L1(s)*L2(s) + C(s)^2); it is
     not clamped to (0, 1), since sign-flipped line inputs legitimately push it
@@ -123,14 +124,17 @@ def recover_lambda(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
     """
     if sample is not None:
         return _recover_at(q, l1, l2, c, sample)
-    center = search_center or _default_center(l1, l2, c)
     first_failure = None
-    for candidate in _search_samples(q, l1, l2, c, center):
+    for candidate in _search_samples(q, l1, l2, c, search_center):
+        if candidate is None:  # the end of a fan
+            if first_failure is not None:
+                raise first_failure
+            continue
         try:
             return _recover_at(q, l1, l2, c, candidate)
         except NotReproducible as exc:
             first_failure = first_failure or exc
-    raise first_failure or NotReproducible("no curve point found off the tangent lines")
+    raise NotReproducible("no curve point found off the tangent lines")
 
 
 def _recover_at(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
@@ -164,74 +168,85 @@ def _recover_at(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
     return LambdaOmega(lam, omega)
 
 
-def _default_center(l1: LineImplicit, l2: LineImplicit, c: LineImplicit) -> Point2:
+def _tangency_points(l1: LineImplicit, l2: LineImplicit,
+                     c: LineImplicit) -> list[Point2]:
+    """Where each tangent line meets the secant, when it does."""
     points = []
     for line in (l1, l2):
         try:
             points.append(intersect_lines(line, c))
         except ParallelLines:
             pass
-    if len(points) == 2:
-        return points[0].midpoint(points[1])
-    if len(points) == 1:
-        return points[0]
-    return Point2(0.0, 0.0)
+    return points
 
 
 def _search_samples(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
-                    c: LineImplicit, center: Point2):
-    """Points of Q with |L1*L2| above threshold, in search order.
+                    c: LineImplicit, center: Point2 | None):
+    """Usable samples of Q in search order, fan by fan, each fan ended by None.
 
-    The rays fan out from ``center`` at the angles of :func:`_ray_angles`,
-    the first along the secant's normal, so that its sample lies as far from
-    both tangency points as the geometry allows.  Along the ray
-    center + t*d the normalised conic is the quadratic A*t^2 + B*t + C0,
-    whose roots in (0, reach] are taken in closed form, nearest first.
+    The rays of each fan (see :func:`_ray_samples`) start at the secant's
+    normal, so that the first sample lies as far from both tangency points
+    as the geometry allows.  The first fans come from ``center``, by default
+    the midpoint of the tangency points.  The fans from each tangency point
+    follow, reached only when no sample from the center was usable.
     """
     scale = q.max_abs()
-    qa, qb, qc, qd, qe, qf = (v / scale for v in q.coeffs())
-    cx, cy = center.x, center.y
-    reach = 8.0 * (1.0 + math.hypot(cx, cy))
-    # the normalised conic and its gradient at the center
-    c0 = (qa * cx + qb * cy + qd) * cx + (qc * cy + qe) * cy + qf
-    gx = 2.0 * qa * cx + qb * cy + qd
-    gy = qb * cx + 2.0 * qc * cy + qe
-    for theta in _ray_angles(math.atan2(c.b, c.a)):
-        dx, dy = math.cos(theta), math.sin(theta)
-        a = (qa * dx + qb * dy) * dx + qc * dy * dy
-        b = gx * dx + gy * dy
-        disc = b * b - 4.0 * a * c0
-        if disc < 0.0:
-            continue
-        # qq and b share a sign, so neither root cancels; a zero qq or a
-        # drops the root it would divide by (a line, or no root at all)
-        qq = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
-        roots = []
-        if qq != 0.0:
-            roots.append(c0 / qq)
-        if a != 0.0:
-            roots.append(qq / a)
-        for t in sorted(roots):
-            if 0.0 < t <= reach:
-                s = Point2(cx + t * dx, cy + t * dy)
-                if _usable_sample(s, l1, l2, c):
-                    yield s
+    qn = tuple(v / scale for v in q.coeffs())
+    start = math.atan2(c.b, c.a)
+    if center is None:
+        touch = _tangency_points(l1, l2, c)
+        center = (touch[0].midpoint(touch[1]) if len(touch) == 2
+                  else touch[0] if touch else Point2(0.0, 0.0))
+    reach = 8.0 * (1.0 + math.hypot(center.x, center.y))
+    yield from _ray_samples(qn, center, False, start, reach, l1, l2, c)
+    for p in _tangency_points(l1, l2, c):
+        yield from _ray_samples(qn, p, True, start, reach, l1, l2, c)
 
 
-def _ray_angles(start: float):
-    """_SEARCH_RAYS even angles from ``start``, then the angles halfway
-    between those so far, _SEARCH_REFINEMENTS times.
+def _ray_samples(qn, origin: Point2, on_curve: bool, start: float, reach: float,
+                 l1: LineImplicit, l2: LineImplicit, c: LineImplicit):
+    """Usable roots of the normalised conic ``qn`` on fans of rays from
+    ``origin``, nearest first on each ray, each fan ended by None.
 
-    Seen from the center, a thin hyperbola through both tangency points
-    spans only a narrow cone about the chord, which the first fan can miss.
+    The first fan has _SEARCH_RAYS even angles from ``start``; each of the
+    _SEARCH_REFINEMENTS finer ones takes the angles halfway between those so
+    far.  Seen from the center, a thin hyperbola through both tangency
+    points spans only a narrow cone about the chord, which the first fan
+    can miss.  Along the ray origin + t*d the conic is the quadratic
+    A*t^2 + B*t + C0, whose roots in (0, reach] are taken in closed form.
+    An origin ``on_curve`` is a tangency point P, where Q vanishes: along
+    P + t*d the conic is t*(B + A*t), and with C0 = 0 the roots below are 0
+    and exactly -B/A.
     """
-    n = _SEARCH_RAYS
-    ks = range(n)
-    for _ in range(_SEARCH_REFINEMENTS + 1):
-        for k in ks:
-            yield start + k * 2.0 * math.pi / n
-        n *= 2
-        ks = range(1, n, 2)
+    qa, qb, qc, qd, qe, qf = qn
+    ox, oy = origin.x, origin.y
+    c0 = 0.0 if on_curve else (qa * ox + qb * oy + qd) * ox + (qc * oy + qe) * oy + qf
+    gx = 2.0 * qa * ox + qb * oy + qd
+    gy = qb * ox + 2.0 * qc * oy + qe
+    for level in range(_SEARCH_REFINEMENTS + 1):
+        n = _SEARCH_RAYS << level
+        for k in range(n) if level == 0 else range(1, n, 2):
+            theta = start + k * 2.0 * math.pi / n
+            dx, dy = math.cos(theta), math.sin(theta)
+            a = (qa * dx + qb * dy) * dx + qc * dy * dy
+            b = gx * dx + gy * dy
+            disc = b * b - 4.0 * a * c0
+            if disc < 0.0:
+                continue
+            # qq and b share a sign, so neither root cancels; a zero qq or a
+            # drops the root it would divide by (a line, or no root at all)
+            qq = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
+            roots = []
+            if qq != 0.0:
+                roots.append(c0 / qq)
+            if a != 0.0:
+                roots.append(qq / a)
+            for t in sorted(roots):
+                if 0.0 < t <= reach:
+                    s = Point2(ox + t * dx, oy + t * dy)
+                    if _usable_sample(s, l1, l2, c):
+                        yield s
+        yield None
 
 
 def _usable_sample(s: Point2, l1: LineImplicit, l2: LineImplicit,

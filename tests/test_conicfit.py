@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicurve import (
     ConicCoeffs,
@@ -22,9 +25,9 @@ from implicurve import (
 )
 from implicurve.conicfit import interpolation_row, tangential_row
 from implicurve.liming import LimingSpec
-from implicurve.errors import DegenerateInput, RankDeficient
+from implicurve.errors import CurveError, DegenerateInput, RankDeficient
 
-from conftest import random_ellipse, spaced_angles
+from conftest import ellipse_tangents, random_ellipse, spaced_angles
 
 T1 = TangentConstraint(Point2(1, 0), GradientVec(1, 0))
 T2 = TangentConstraint(Point2(0, 1), GradientVec(0, 1))
@@ -172,6 +175,21 @@ class TestFitConic:
         with pytest.raises(RankDeficient):
             fit_conic_two_tangents_one_point(t1, t2, Point2(2, 0))
 
+    def test_tangents_along_the_chord_collapse_the_pencil(self):
+        # L1*L2 is then a multiple of C^2: the pencil is a single conic
+        t1 = TangentConstraint(Point2(1, 0), GradientVec(1, 1))
+        t2 = TangentConstraint(Point2(0, 1), GradientVec(-1, -1))
+        with pytest.raises(RankDeficient, match="collapses"):
+            fit_conic_two_tangents_one_point(t1, t2, P3)
+
+    def test_p3_at_a_base_point_of_the_pencil(self):
+        # L1 is the chord x + y = 1 and P3 lies on it: every member of the
+        # pencil passes through P3
+        t1 = TangentConstraint(Point2(1, 0), GradientVec(1, 1))
+        t2 = TangentConstraint(Point2(0, 1), GradientVec(0, 1))
+        with pytest.raises(RankDeficient, match="base point"):
+            fit_conic_two_tangents_one_point(t1, t2, Point2(2, -1))
+
     def test_recovers_random_conics(self):
         # dimension argument, executably: constraints sampled from a conic
         # pin it down up to scale
@@ -207,10 +225,109 @@ class TestFitConic:
             assert equal_up_to_scale(blended, fitted, rtol=1e-7)
 
     def test_offset_data_is_conditioned(self):
-        # data far from the origin exercises the internal unit-box scaling
+        # data far from the origin: the pencil's lines are evaluated at P3
+        # from coordinate differences
         dx, dy = 113.0, -77.0
         t1 = TangentConstraint(Point2(1 + dx, dy), GradientVec(1, 0))
         t2 = TangentConstraint(Point2(dx, 1 + dy), GradientVec(0, 1))
         conic = fit_conic_two_tangents_one_point(t1, t2, Point2(dx - 1, dy))
         for p in (t1.at, t2.at, Point2(dx - 1, dy)):
             assert abs(conic_eval(conic, p)) < 1e-7
+
+    def test_coefficients_are_python_floats(self):
+        # numpy scalars and ints in, floats out, so that later evaluations
+        # of the fitted conic do float arithmetic
+        f64 = np.float64
+        t1 = TangentConstraint(Point2(f64(1.0), f64(0.0)), GradientVec(f64(1.0), f64(0.0)))
+        t2 = TangentConstraint(Point2(f64(0.0), f64(1.0)), GradientVec(f64(0.0), f64(1.0)))
+        for args in ((T1, T2, P3), (t1, t2, Point2(f64(-1.0), f64(0.0)))):
+            conic = fit_conic_two_tangents_one_point(*args)
+            assert all(type(v) is float for v in conic.coeffs())
+            assert equal_up_to_scale(conic, UNIT_CIRCLE, rtol=1e-12)
+
+    def test_gradient_scale_does_not_matter(self):
+        for k in (1e-200, 1e-12, 1e12, 1e200):
+            t1 = TangentConstraint(Point2(1, 0), GradientVec(k, 0))
+            t2 = TangentConstraint(Point2(0, 1), GradientVec(0, -k))
+            conic = fit_conic_two_tangents_one_point(t1, t2, P3)
+            assert equal_up_to_scale(conic, UNIT_CIRCLE, rtol=1e-12)
+
+
+# -- the pencil fit against the linear formulation ---------------------------
+
+FAMILIES = ("plain", "chord-tangents", "p3-on-chord", "p3-on-tangent",
+            "parallel-tangents", "coincident-points")
+
+
+@st.composite
+def fit_inputs(draw):
+    """Constraints of a random ellipse, moved by an offset up to 1e6 and
+    scaled by 1e-6 to 1e6, then bent into one of FAMILIES there."""
+    _, lines, points = draw(ellipse_tangents(max_pairs=2).filter(lambda t: len(t[1]) == 4))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    ox, oy = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    p1, p2, p3 = (Point2(scale * p.x + ox, scale * p.y + oy) for p in points[:3])
+    g1, g2 = (GradientVec(line.a, line.b) for line in lines[:2])
+    family = draw(st.sampled_from(FAMILIES))
+    chord = GradientVec(p1.y - p2.y, p2.x - p1.x)
+    if family == "chord-tangents":
+        g1, g2 = chord, GradientVec(-chord.gx, -chord.gy)
+    elif family == "p3-on-chord":
+        u = draw(st.floats(0.2, 0.8))
+        p3 = Point2(p1.x + u * (p2.x - p1.x), p1.y + u * (p2.y - p1.y))
+    elif family == "p3-on-tangent":
+        s = scale * draw(st.floats(0.3, 1.0)) / g1.norm()
+        p3 = Point2(p1.x - s * g1.gy, p1.y + s * g1.gx)
+    elif family == "parallel-tangents":
+        g2 = GradientVec(-g1.gx, -g1.gy)
+    elif family == "coincident-points":
+        eps = 1e-12 * scale
+        p3 = Point2(p1.x + eps, p1.y - eps)
+    return family, TangentConstraint(p1, g1), TangentConstraint(p2, g2), p3
+
+
+def _linear_fit(t1, t2, p3):
+    """null_space_1d of the constraint system on the points mapped to their
+    unit box, as a conic of the original coordinates."""
+    pts = (t1.at, t2.at, p3)
+    mx = sum(p.x for p in pts) / 3.0
+    my = sum(p.y for p in pts) / 3.0
+    spread = max(max(abs(p.x - mx), abs(p.y - my)) for p in pts)
+    sigma = spread if spread > 1e-9 else 1.0
+
+    def unit(p):
+        return Point2((p.x - mx) / sigma, (p.y - my) / sigma)
+
+    q = null_space_1d(build_constraint_system(
+        TangentConstraint(unit(t1.at), t1.grad), TangentConstraint(unit(t2.at), t2.grad),
+        unit(p3)))
+    # q((x - mx)/s, (y - my)/s) * s^2, expanded in rationals and rounded once
+    a, b, c, d, e, f = map(Fraction, q.coeffs())
+    mx, my, s = Fraction(mx), Fraction(my), Fraction(sigma)
+    return ConicCoeffs(*map(float, (
+        a, b, c,
+        d * s - 2 * a * mx - b * my,
+        e * s - 2 * c * my - b * mx,
+        a * mx * mx + b * mx * my + c * my * my - (d * mx + e * my) * s + f * s * s)))
+
+
+def _outcome(fit, *args):
+    try:
+        return fit(*args)
+    except CurveError as exc:
+        return exc.code
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_inputs())
+def test_pencil_fit_matches_linear_formulation(inputs):
+    family, t1, t2, p3 = inputs
+    got = _outcome(fit_conic_two_tangents_one_point, t1, t2, p3)
+    want = _outcome(_linear_fit, t1, t2, p3)
+    if family == "chord-tangents":
+        assert got == want == "RankDeficient"
+    elif family == "coincident-points":
+        assert got == want == "DegenerateInput"
+    else:
+        assert isinstance(got, ConicCoeffs) and isinstance(want, ConicCoeffs)
+        assert equal_up_to_scale(got, want, rtol=1e-9)

@@ -109,6 +109,23 @@ class TestRecoverLambda:
         assert rec.lam == pytest.approx(1.0 / 3.0)
         assert rec.omega == pytest.approx(1.0 / 3.0)
 
+    def test_failing_search_stops_after_its_fan(self, monkeypatch):
+        # a secant that is not the chord: the first usable sample fails the
+        # identity check, so the rest of its 64-ray fan is tried and the
+        # first failure raised, without the 960 rays of the finer fans
+        tried = []
+        recover_at = liming._recover_at
+
+        def count(q, l1, l2, c, sample):
+            tried.append(sample)
+            return recover_at(q, l1, l2, c, sample)
+
+        monkeypatch.setattr(liming, "_recover_at", count)
+        with pytest.raises(NotReproducible, match="differs from a multiple"):
+            recover_lambda(CIRCLE, L1, L2, LineImplicit(1, -1, 0))
+        # each ray of the fan has at most two roots
+        assert 1 < len(tried) <= 2 * liming._SEARCH_RAYS
+
     def test_conic_scale_moves_omega_only(self):
         rec = recover_lambda(CIRCLE.scaled(5.0), L1, L2, C, Point2(-1, 0))
         assert rec.lam == pytest.approx(1.0 / 3.0)
@@ -207,6 +224,21 @@ class TestRecoverLambda:
         rec = recover_lambda(LimingSpec(l1, l2, c, lam).conic, l1, l2, c)
         assert rec.lam == pytest.approx(lam, rel=1e-12)
         assert rec.omega == pytest.approx(1.0, rel=1e-12)
+
+    def test_search_from_tangency_points_finds_near_parabolic_hyperbola(self):
+        # a thin hyperbola (normalised discriminant 4.5e-5) of randomly
+        # oriented lines that no ray from the chord midpoint meets off the
+        # tangent lines, down to the finest fan; a ray from a tangency point
+        # meets it once more, at the linear root -B/A
+        l1 = LineImplicit(-0.12614997348206883, -0.9920111814846007, 0.6971743865484008)
+        l2 = LineImplicit(-0.12345232905754681, -0.9923505038293008, 0.7217597754786147)
+        c = secant_line(Point2(-1.698573983839708, 0.9187894920731403),
+                        Point2(1.8232088540628824, 0.5005090380562223))
+        lam = 0.3248040588283681
+        q = LimingSpec(l1, l2, c, lam).conic
+        rec = recover_lambda(q, l1, l2, c)
+        assert rec.lam == pytest.approx(lam, rel=1e-12)
+        assert _identity_residual(q, l1, l2, c, rec.lam) <= 1e-12
 
     def test_search_rays_with_degenerate_quadratics(self):
         # y^2 = x touched at (1, 1) and (1, -1), where the blend has t = 1/5:
