@@ -110,14 +110,18 @@ def null_space_1d(system: ConstraintSystem) -> ConicCoeffs:
 
     The sign is fixed so the first component above noise level is positive.
     Raises RankDeficient when the rank is below 5 (the null space is then a
-    whole family of conics).
+    whole family of conics).  Each row is scaled to unit max-abs first, which
+    leaves the null space as it is and makes the rank test blind to the
+    rows' scale (tangential rows scale with the prescribed gradient).
     """
-    u, s, vh = np.linalg.svd(system.rows)
+    norms = np.max(np.abs(system.rows), axis=1, keepdims=True)
+    rows = system.rows / np.where(norms > 0.0, norms, 1.0)
+    u, s, vh = np.linalg.svd(rows)
     if s[0] == 0.0 or s[4] / s[0] <= EPS_RANK:
         raise RankDeficient(
             f"constraint system rank below 5 (singular values {s})")
     v = vh[-1]
-    resid = float(np.max(np.abs(system.rows @ v)))
+    resid = float(np.max(np.abs(rows @ v)))
     if resid > 1e-10 * s[0]:
         raise RankDeficient(f"null-space residual too large ({resid:.3g})")
     return ConicCoeffs(*_sign_normalized(v))

@@ -218,14 +218,14 @@ def _line_product_coeffs(l1: LineImplicit, l2: LineImplicit) -> tuple[float, ...
     For intermediate products that are only combined further, so no
     ConicCoeffs is built and checked for each.
     """
-    return (
-        l1.a * l2.a,
-        l1.a * l2.b + l2.a * l1.b,
-        l1.b * l2.b,
-        l1.a * l2.c + l2.a * l1.c,
-        l1.b * l2.c + l2.b * l1.c,
-        l1.c * l2.c,
-    )
+    return _linear_product(l1.a, l1.b, l1.c, l2.a, l2.b, l2.c)
+
+
+def _linear_product(a1: float, b1: float, c1: float,
+                    a2: float, b2: float, c2: float) -> tuple[float, ...]:
+    """Conic coefficients of (a1*x + b1*y + c1) * (a2*x + b2*y + c2)."""
+    return (a1 * a2, a1 * b2 + a2 * b1, b1 * b2, a1 * c2 + a2 * c1,
+            b1 * c2 + b2 * c1, c1 * c2)
 
 
 def check_tangency_points(lines, points) -> None:

@@ -8,10 +8,13 @@ tangent lines) with bounding lines B_j:
 Three evaluation forms are supported: ``raw`` is the polynomial above;
 ``normalized`` divides by sum_i prod_{j != i} B_j^2, which removes the raw
 form's isolated zeros; ``faithful`` divides by sum_i w_i prod_{j != i} B_j^2.
-All three share a zero set wherever the denominators are nonzero.  Two-sided
-patches are evaluated by a dedicated kernel, written out without per-side
-loops, that does the float operations of the generic n-sided path in the
-same order, so both give the same bits.
+All three share a zero set wherever the denominators are nonzero.  A
+two-sided patch whose ribbons are both line pairs, as every two-pair
+construction's are, is evaluated by a dedicated kernel that reads the 21
+floats of its lines and weights from a tuple the spec builds once and does,
+written out without per-side loops, the float operations of the generic
+n-sided path in the same order; both give the same bits, and every other
+patch takes the generic path.
 
 The tangent-pair construction blends k tangent-line pairs against the k
 secants through their tangency points, giving a field of degree 2k that
@@ -24,7 +27,6 @@ coincide with it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Sequence
@@ -52,7 +54,7 @@ from .geom import (
     secant_line,
 )
 from .liming import recover_lambda
-from .poly import BivariatePoly
+from .poly import BivariatePoly, add_product, conic_terms, line_terms, poly_terms
 
 RAW = "raw"
 NORMALIZED = "normalized"
@@ -81,6 +83,9 @@ class IPatchSpec:
     weights: tuple[float, ...]
     w0: float
     form: str = RAW
+    # what the two-sided kernel reads (see _pair_floats); None for patches
+    # that take the generic path
+    pair_floats: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ribbons", tuple(tuple(r) for r in self.ribbons))
@@ -95,6 +100,7 @@ class IPatchSpec:
         if not all(math.isfinite(w) for w in (*self.weights, self.w0)):
             raise ValueError("weights must be finite")
         _check_form(self.form)
+        object.__setattr__(self, "pair_floats", _pair_floats(self))
 
     @property
     def sides(self) -> int:
@@ -166,28 +172,39 @@ def _field(spec: IPatchSpec, x, y):
     return num, den
 
 
+def _pair_floats(spec: IPatchSpec) -> tuple[float, ...] | None:
+    """The two bounding lines, the four ribbon lines and the weights (w1, w2,
+    w0) of a two-sided patch of two line pairs, as 21 floats; else None."""
+    if len(spec.ribbons) != 2 or any(len(r) != 2 for r in spec.ribbons):
+        return None
+    lines = (*spec.boundings, *spec.ribbons[0], *spec.ribbons[1])
+    return (*(v for line in lines for v in (line.a, line.b, line.c)),
+            *spec.weights, spec.w0)
+
+
 def _field2(spec: IPatchSpec, x, y):
-    """Numerator and denominator of a two-sided blend at (x, y).
+    """Numerator and denominator of a two-sided blend of two line pairs.
 
     The float operations of :func:`_field` for n = 2, where
-    prod_{j != i} B_j^2 is the other side's square, written out.  Each name
-    is rebound once its value is used, so on a lattice no intermediate
-    array outlives its use.
+    prod_{j != i} B_j^2 is the other side's square, written out over
+    ``spec.pair_floats``.  Each name is rebound once its value is used, so on
+    a lattice no intermediate array outlives its use.
     """
-    b1, b2 = spec.boundings
-    w1, w2 = spec.weights
-    s1 = b1.a * x + b1.b * y + b1.c
+    (b1a, b1b, b1c, b2a, b2b, b2c, u1a, u1b, u1c, v1a, v1b, v1c,
+     u2a, u2b, u2c, v2a, v2b, v2c, w1, w2, w0) = spec.pair_floats
+    s1 = b1a * x + b1b * y + b1c
     s1 = s1 * s1
-    s2 = b2.a * x + b2.b * y + b2.c
+    s2 = b2a * x + b2b * y + b2c
     s2 = s2 * s2
-    num = spec.w0 * (s1 * s2)
-    num = num + w1 * _ribbon(spec.ribbons[0], x, y) * s2
-    num = num + w2 * _ribbon(spec.ribbons[1], x, y) * s1
-    if spec.form == RAW:
+    num = w0 * (s1 * s2)
+    num = num + w1 * ((u1a * x + u1b * y + u1c) * (v1a * x + v1b * y + v1c)) * s2
+    num = num + w2 * ((u2a * x + u2b * y + u2c) * (v2a * x + v2b * y + v2c)) * s1
+    form = spec.form
+    if form == RAW:
         return num, None
     # sum() starts from 0, which leaves a square as it is but turns a
     # weighted -0.0 into 0.0
-    if spec.form == NORMALIZED:
+    if form == NORMALIZED:
         return num, s2 + s1
     return num, 0.0 + w1 * s2 + w2 * s1
 
@@ -204,7 +221,7 @@ def ipatch_eval(spec: IPatchSpec, p: Point2) -> float:
     Raises ZeroDenominator for the normalized/faithful forms at common zeros
     of the relevant bounding products.
     """
-    kernel = _field2 if len(spec.boundings) == 2 else _field
+    kernel = _field if spec.pair_floats is None else _field2
     num, den = kernel(spec, p.x, p.y)
     if den is None:
         return num
@@ -218,7 +235,7 @@ def ipatch_values(spec: IPatchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Each element equals :func:`ipatch_eval` at that point bit for bit; where
     the point call raises ZeroDenominator the array holds NaN.
     """
-    kernel = _field2 if len(spec.boundings) == 2 else _field
+    kernel = _field if spec.pair_floats is None else _field2
     num, den = kernel(spec, x, y)
     if den is None:
         return num
@@ -239,7 +256,7 @@ def _ribbon_gradient(r: tuple[LineImplicit, ...], x: float, y: float):
 
 def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
     """Exact analytic gradient of the selected form at a point."""
-    if len(spec.boundings) == 2:
+    if spec.pair_floats is not None:
         return _gradient2(spec, p)
     x, y = p.x, p.y
     boundings = spec.boundings
@@ -292,34 +309,39 @@ def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
 
 
 def _gradient2(spec: IPatchSpec, p: Point2) -> GradientVec:
-    """Gradient of a two-sided patch: ipatch_gradient's loop, written out.
+    """Gradient of a two-sided patch of two line pairs: ipatch_gradient's
+    loop, written out over ``spec.pair_floats``.
 
     Every sum starts from 0.0 as the loop's do, which turns a -0.0 first term
     into 0.0, and the w0 terms come last.
     """
+    (b1a, b1b, b1c, b2a, b2b, b2c, u1a, u1b, u1c, v1a, v1b, v1c,
+     u2a, u2b, u2c, v2a, v2b, v2c, w1, w2, w0) = spec.pair_floats
     x, y = p.x, p.y
-    b1, b2 = spec.boundings
-    w1, w2 = spec.weights
-    w0 = spec.w0
-    v1 = b1.a * x + b1.b * y + b1.c
-    v2 = b2.a * x + b2.b * y + b2.c
+    v1 = b1a * x + b1b * y + b1c
+    v2 = b2a * x + b2b * y + b2c
     s1 = v1 * v1
     s2 = v2 * v2
-    r1, r1x, r1y = _ribbon_gradient(spec.ribbons[0], x, y)
-    r2, r2x, r2y = _ribbon_gradient(spec.ribbons[1], x, y)
+    # each ribbon R = U * V and its gradient
+    uv = u1a * x + u1b * y + u1c
+    vv = v1a * x + v1b * y + v1c
+    r1, r1x, r1y = uv * vv, u1a * vv + v1a * uv, u1b * vv + v1b * uv
+    uv = u2a * x + u2b * y + u2c
+    vv = v2a * x + v2b * y + v2c
+    r2, r2x, r2y = uv * vv, u2a * vv + v2a * uv, u2b * vv + v2b * uv
     # gradients of the other side's square: 2 * B_j * grad B_j
     f = 2.0 * v2
-    p1x = 0.0 + f * b2.a
-    p1y = 0.0 + f * b2.b
+    p1x = 0.0 + f * b2a
+    p1y = 0.0 + f * b2b
     f = 2.0 * v1
-    p2x = 0.0 + f * b1.a
-    p2y = 0.0 + f * b1.b
+    p2x = 0.0 + f * b1a
+    p2y = 0.0 + f * b1b
     f1 = w0 * 2.0 * v1 * s2
     f2 = w0 * 2.0 * v2 * s1
     gx = (0.0 + w1 * (r1x * s2 + r1 * p1x) + w2 * (r2x * s1 + r2 * p2x)
-          + f1 * b1.a + f2 * b2.a)
+          + f1 * b1a + f2 * b2a)
     gy = (0.0 + w1 * (r1y * s2 + r1 * p1y) + w2 * (r2y * s1 + r2 * p2y)
-          + f1 * b1.b + f2 * b2.b)
+          + f1 * b1b + f2 * b2b)
     form = spec.form
     if form == RAW:
         return GradientVec(gx, gy)
@@ -376,11 +398,12 @@ def _pair_secants(points: Sequence[Point2]) -> tuple[LineImplicit, ...]:
         raise DegenerateSecant(str(exc)) from exc
 
 
-def _products_except(polys: list[BivariatePoly]) -> list:
-    """prod_{j != i} polys[j] for each i; the integer 1 for a single poly."""
+def _products_except(polys: list, times) -> list:
+    """prod_{j != i} polys[j] for each i, multiplied by ``times``; the
+    constant 1 for a single poly."""
     if len(polys) == 1:
-        return [1]
-    return [reduce(operator.mul, polys[:i] + polys[i + 1:]) for i in range(len(polys))]
+        return [[(0, 1.0)]]
+    return [reduce(times, polys[:i] + polys[i + 1:]) for i in range(len(polys))]
 
 
 @dataclass(frozen=True)
@@ -468,18 +491,35 @@ def expand_to_polynomial(spec: TangentPairSpec) -> BivariatePoly:
     """Expand the raw field of k tangent pairs into a dense degree-2k polynomial."""
     if spec.form != RAW:
         raise ValueError("only the raw form is a polynomial")
-    return _expand(spec)[0]
+    raw, _, width = _expand(spec)
+    return BivariatePoly(np.reshape(raw, (width, width)))
 
 
-def _expand(spec: TangentPairSpec) -> tuple[BivariatePoly, BivariatePoly | int]:
-    """The raw field and the normalized denominator sum_i prod_{j != i} C_j^2."""
-    pl = [BivariatePoly.from_line(line) for line in spec.lines]
-    squares = [BivariatePoly.from_line(c).squared() for c in spec.secants]
-    others = _products_except(squares)
+def _expand(spec: TangentPairSpec) -> tuple[list[float], list[float], int]:
+    """The raw field and the normalized denominator sum_i prod_{j != i} C_j^2,
+    flat in the layout of width 2k + 1 (see :mod:`.poly`), and that width."""
+    width = 2 * len(spec.secants) + 1
+    size = width * width
+
+    def times(a, b):
+        out = [0.0] * size
+        add_product(out, a, b)
+        return poly_terms(out)
+
+    lines = [line_terms(m, width) for m in spec.lines]
+    squares = [times(t, t) for t in (line_terms(c, width) for c in spec.secants)]
+    others = _products_except(squares, times)
     ws = tuple(spec.weights)
-    terms = [w * (l1 * l2 * o) for w, l1, l2, o in zip(ws, pl[::2], pl[1::2], others)]
-    terms.append(ws[-1] * reduce(operator.mul, squares))
-    return reduce(operator.add, terms), reduce(operator.add, others)
+    raw = [0.0] * size
+    for w, l1, l2, o in zip(ws, lines[::2], lines[1::2], others):
+        add_product(raw, [(n, w * v) for n, v in times(l1, l2)], o)
+    # prod_j C_j^2 is the last square times the product of the others
+    add_product(raw, [(n, ws[-1] * v) for n, v in others[-1]], squares[-1])
+    den = [0.0] * size
+    for o in others:
+        for n, v in o:
+            den[n] += v
+    return raw, den, width
 
 
 def reproduce_conic_weights(q: ConicCoeffs, lines: Sequence[LineImplicit],
@@ -511,8 +551,7 @@ def reproduce_conic_weights(q: ConicCoeffs, lines: Sequence[LineImplicit],
 
     secants = _pair_secants(points)
     try:
-        recs = [recover_lambda(q, lines[2 * i], lines[2 * i + 1], c,
-                               search_center=points[2 * i].midpoint(points[2 * i + 1]))
+        recs = [recover_lambda(q, lines[2 * i], lines[2 * i + 1], c)
                 for i, c in enumerate(secants)]
     except CurveError as exc:
         raise RecoveryFailed(f"per-pair blend recovery failed: {exc}") from exc
@@ -522,10 +561,16 @@ def reproduce_conic_weights(q: ConicCoeffs, lines: Sequence[LineImplicit],
     weights.append(-sum(omega * rec.lam for omega, rec in zip(omegas, recs)))
 
     patch = TangentPairSpec(lines, points, weights, RAW)
-    got, den = _expand(patch)
-    target = BivariatePoly.from_conic(q) * den
-    resid = (got - target).max_abs()
-    if resid > 1e-8 * target.max_abs():
+    got, den, width = _expand(patch)
+    target = [0.0] * len(den)
+    add_product(target, conic_terms(q, width), poly_terms(den))
+    diffs = [abs(g - t) for g, t in zip(got, target)]
+    scale = max(map(abs, target))
+    # max() skips a NaN that is not first, so overflow is tested for directly
+    if not (all(map(math.isfinite, diffs)) and math.isfinite(scale)):
+        raise RecoveryFailed("reconstructed field overflows a float")
+    resid = max(diffs)
+    if resid > 1e-8 * scale:
         raise RecoveryFailed(
             f"reconstructed field does not reproduce the conic (residual {resid:.3g})")
     return patch.weights

@@ -5,9 +5,11 @@ the tangency points,
 
     (1 - t) * L1 * L2 - t * C**2,        0 < t < 1,
 
-is a conic touching both lines.  Conversely, a conic known to admit such a
-construction determines (t, scale) from any of its points off the tangent
-lines; :func:`recover_lambda` computes them and verifies the claim
+is a conic touching both lines, and every conic tangent to L1 and L2 where
+C meets them lies in this pencil (Liming, 1947).  Conversely,
+:func:`recover_lambda` finds the pencil member that is a multiple of a given
+conic, from one of its points off the tangent lines or, without one, by
+projecting the conic onto the pencil, and verifies the claim
 coefficient-wise.
 """
 
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     NotReproducible,
-    ParallelLines,
     SampleNotOnConic,
     SampleOnTangent,
 )
@@ -30,14 +31,9 @@ from .geom import (
     Point2,
     conic_eval,
     conic_gradient,
-    intersect_lines,
     _line_product_coeffs,
+    _linear_product,
 )
-
-# sample-point search parameters
-_MIN_TANGENT_PRODUCT = 1e-6
-_SEARCH_RAYS = 64
-_SEARCH_REFINEMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -86,10 +82,11 @@ class LambdaOmega:
 
 
 def _blend_coeffs(l1: LineImplicit, l2: LineImplicit, c: LineImplicit,
-                  lam: float) -> tuple[float, ...]:
+                  lam: float) -> list[float]:
     q12 = _line_product_coeffs(l1, l2)
     qcc = _line_product_coeffs(c, c)
-    return tuple((1.0 - lam) * u - lam * v for u, v in zip(q12, qcc))
+    keep = 1.0 - lam
+    return [keep * u - lam * v for u, v in zip(q12, qcc)]
 
 
 def liming_conic(spec: LimingSpec) -> ConicCoeffs:
@@ -103,42 +100,20 @@ def liming_conic(spec: LimingSpec) -> ConicCoeffs:
 
 
 def recover_lambda(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
-                   c: LineImplicit, sample: Point2 | None = None, *,
-                   search_center: Point2 | None = None) -> LambdaOmega:
+                   c: LineImplicit, sample: Point2 | None = None) -> LambdaOmega:
     """Recover (t, omega) with (1 - t)*L1*L2 - t*C^2 == omega * Q.
 
-    ``sample`` must be a point of Q off both tangent lines; when omitted, one
-    is searched for among the closed-form roots of Q on rays fanned out from
-    the centroid of the tangency points (or from ``search_center``), the
-    first ray along the secant's normal, then on finer fans in between.
-    Should a searched sample fail the identity check below by rounding, the
-    rest of its fan is tried; when none of them passes, the first failure
-    is raised.  Only when no fan from the center yields a usable sample are
-    rays from each tangency point tried, in the same order.
-
-    The returned ``t`` is exactly L1(s)*L2(s) / (L1(s)*L2(s) + C(s)^2); it is
-    not clamped to (0, 1), since sign-flipped line inputs legitimately push it
-    outside.  The identity above is verified coefficient-wise to 1e-9
-    relative; failure raises NotReproducible, which means the given lines are
-    not a tangent/secant configuration of Q.
+    With a ``sample``, a point of Q off both tangent lines, the returned
+    ``t`` is exactly L1(s)*L2(s) / (L1(s)*L2(s) + C(s)^2).  Without one, Q is
+    projected onto the pencil: Q ~ alpha*L1*L2 + beta*C^2 by least squares
+    (see :func:`_pencil_lambda`), and t = -beta / (alpha - beta).  Either
+    way ``t`` is not clamped to (0, 1), since sign-flipped line inputs
+    legitimately push it outside.  The identity above is verified
+    coefficient-wise to 1e-9 relative; failure raises NotReproducible, which
+    means the given lines are not a tangent/secant configuration of Q.
     """
-    if sample is not None:
-        return _recover_at(q, l1, l2, c, sample)
-    first_failure = None
-    for candidate in _search_samples(q, l1, l2, c, search_center):
-        if candidate is None:  # the end of a fan
-            if first_failure is not None:
-                raise first_failure
-            continue
-        try:
-            return _recover_at(q, l1, l2, c, candidate)
-        except NotReproducible as exc:
-            first_failure = first_failure or exc
-    raise NotReproducible("no curve point found off the tangent lines")
-
-
-def _recover_at(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
-                c: LineImplicit, sample: Point2) -> LambdaOmega:
+    if sample is None:
+        return _verified(q, l1, l2, c, _pencil_lambda(q, l1, l2, c))
     qscale = max(1.0, q.max_abs())
     if abs(conic_eval(q, sample)) > EPS_ON_CURVE * qscale:
         raise SampleNotOnConic(f"sample {sample} is not on the conic")
@@ -152,110 +127,88 @@ def _recover_at(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
     den = product + csq
     if abs(den) <= 1e-14 * max(abs(product), csq, 1e-30):
         raise NotReproducible("blend denominator vanishes at the sample point")
-    lam = product / den
+    return _verified(q, l1, l2, c, product / den)
 
+
+def _verified(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
+              c: LineImplicit, lam: float) -> LambdaOmega:
+    """(lam, omega), omega from Q's largest coefficient, once the blend at
+    ``lam`` is omega * Q to 1e-9 relative; else NotReproducible."""
     blend = _blend_coeffs(l1, l2, c, lam)
+    # max() below skips a NaN that is not first, so overflow is tested for
+    if not all(map(math.isfinite, blend)):
+        raise NotReproducible("blend overflows a float")
     qc = q.coeffs()
-    k = max(range(6), key=lambda i: abs(qc[i]))
+    qabs = list(map(abs, qc))
+    qmax = max(qabs)
+    k = qabs.index(qmax)
     omega = blend[k] / qc[k]
-    scale = max(max(abs(v) for v in blend), abs(omega) * q.max_abs())
+    scale = max(max(map(abs, blend)), abs(omega) * qmax)
     if omega == 0.0 or not math.isfinite(omega) or scale == 0.0:
         raise NotReproducible("blend collapses to the zero polynomial")
-    resid = max(abs(bv - omega * qv) for bv, qv in zip(blend, qc))
+    resid = max([abs(bv - omega * qv) for bv, qv in zip(blend, qc)])
     if resid > 1e-9 * scale:
         raise NotReproducible(
             f"blend differs from a multiple of the conic (residual {resid:.3g})")
     return LambdaOmega(lam, omega)
 
 
-def _tangency_points(l1: LineImplicit, l2: LineImplicit,
-                     c: LineImplicit) -> list[Point2]:
-    """Where each tangent line meets the secant, when it does."""
-    points = []
-    for line in (l1, l2):
-        try:
-            points.append(intersect_lines(line, c))
-        except ParallelLines:
-            pass
-    return points
+def _pencil_lambda(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
+                   c: LineImplicit) -> float:
+    """t of the pencil member nearest Q: Q ~ alpha*L1*L2 + beta*C^2 by least
+    squares over the six coefficients, t = -beta / (alpha - beta).
 
-
-def _search_samples(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
-                    c: LineImplicit, center: Point2 | None):
-    """Usable samples of Q in search order, fan by fan, each fan ended by None.
-
-    The rays of each fan (see :func:`_ray_samples`) start at the secant's
-    normal, so that the first sample lies as far from both tangency points
-    as the geometry allows.  The first fans come from ``center``, by default
-    the midpoint of the tangency points.  The fans from each tangency point
-    follow, reached only when no sample from the center was usable.
+    Each monomial is weighted by s**degree, s = max(1, |c| / |(a, b)|) over
+    the three lines: substituting x = s*u maps lines that far from the
+    origin back to it, where no coefficient of Q dwarfs the others.  Each
+    weighted generator is scaled to unit max, so that no product below
+    overflows.  The fit is taken on C^2 and D = L1*L2 -+ C^2, the sign that
+    of their inner product: where both tangents run close to the chord,
+    L1*L2 is close to +-C^2 and float subtraction forms their small
+    difference exactly, which keeps the 2 x 2 system well conditioned.
     """
-    scale = q.max_abs()
-    qn = tuple(v / scale for v in q.coeffs())
-    start = math.atan2(c.b, c.a)
-    if center is None:
-        touch = _tangency_points(l1, l2, c)
-        center = (touch[0].midpoint(touch[1]) if len(touch) == 2
-                  else touch[0] if touch else Point2(0.0, 0.0))
-    reach = 8.0 * (1.0 + math.hypot(center.x, center.y))
-    yield from _ray_samples(qn, center, False, start, reach, l1, l2, c)
-    for p in _tangency_points(l1, l2, c):
-        yield from _ray_samples(qn, p, True, start, reach, l1, l2, c)
+    r = 1.0 / max(1.0, abs(l1.c) / l1.normal_norm(), abs(l2.c) / l2.normal_norm(),
+                  abs(c.c) / c.normal_norm())
+    # s**(degree - 2) on each monomial of a product: each line's c over s
+    g, k1 = _unit_max(_linear_product(l1.a, l1.b, l1.c * r, l2.a, l2.b, l2.c * r))
+    h, k2 = _unit_max(_linear_product(c.a, c.b, c.c * r, c.a, c.b, c.c * r))
+    qw, _ = _unit_max((q.a, q.b, q.c, q.d * r, q.e * r, q.f * r * r))
+    sign = math.copysign(1.0, _dot(g, h))
+    a, b = _least_squares(h, [x - sign * y for x, y in zip(g, h)], qw)
+    # Q ~ b*g + (a - sign*b)*h, where g = L1*L2 / k1 and h = C^2 / k2
+    alpha, beta = b, (a - sign * b) * (k1 / k2)
+    if alpha == beta or not math.isfinite(lam := -beta / (alpha - beta)):
+        raise NotReproducible("Q projects onto no member of the tangent/secant pencil")
+    return lam
 
 
-def _ray_samples(qn, origin: Point2, on_curve: bool, start: float, reach: float,
-                 l1: LineImplicit, l2: LineImplicit, c: LineImplicit):
-    """Usable roots of the normalised conic ``qn`` on fans of rays from
-    ``origin``, nearest first on each ray, each fan ended by None.
-
-    The first fan has _SEARCH_RAYS even angles from ``start``; each of the
-    _SEARCH_REFINEMENTS finer ones takes the angles halfway between those so
-    far.  Seen from the center, a thin hyperbola through both tangency
-    points spans only a narrow cone about the chord, which the first fan
-    can miss.  Along the ray origin + t*d the conic is the quadratic
-    A*t^2 + B*t + C0, whose roots in (0, reach] are taken in closed form.
-    An origin ``on_curve`` is a tangency point P, where Q vanishes: along
-    P + t*d the conic is t*(B + A*t), and with C0 = 0 the roots below are 0
-    and exactly -B/A.
-    """
-    qa, qb, qc, qd, qe, qf = qn
-    ox, oy = origin.x, origin.y
-    c0 = 0.0 if on_curve else (qa * ox + qb * oy + qd) * ox + (qc * oy + qe) * oy + qf
-    gx = 2.0 * qa * ox + qb * oy + qd
-    gy = qb * ox + 2.0 * qc * oy + qe
-    for level in range(_SEARCH_REFINEMENTS + 1):
-        n = _SEARCH_RAYS << level
-        for k in range(n) if level == 0 else range(1, n, 2):
-            theta = start + k * 2.0 * math.pi / n
-            dx, dy = math.cos(theta), math.sin(theta)
-            a = (qa * dx + qb * dy) * dx + qc * dy * dy
-            b = gx * dx + gy * dy
-            disc = b * b - 4.0 * a * c0
-            if disc < 0.0:
-                continue
-            # qq and b share a sign, so neither root cancels; a zero qq or a
-            # drops the root it would divide by (a line, or no root at all)
-            qq = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
-            roots = []
-            if qq != 0.0:
-                roots.append(c0 / qq)
-            if a != 0.0:
-                roots.append(qq / a)
-            for t in sorted(roots):
-                if 0.0 < t <= reach:
-                    s = Point2(ox + t * dx, oy + t * dy)
-                    if _usable_sample(s, l1, l2, c):
-                        yield s
-        yield None
+def _least_squares(u, v, q) -> tuple[float, float]:
+    """(a, b) minimising |q - a*u - b*v| over six-vectors: the normal
+    equations by Cramer's rule, then one refinement step on the residual."""
+    uu, uv, vv = _dot(u, u), _dot(u, v), _dot(v, v)
+    det = uu * vv - uv * uv
+    if not det > 0.0:
+        raise NotReproducible("L1*L2 and C^2 are proportional: the tangents are the secant")
+    ru, rv = _dot(u, q), _dot(v, q)
+    a = (ru * vv - rv * uv) / det
+    b = (rv * uu - ru * uv) / det
+    res = [z - a * x - b * y for z, x, y in zip(q, u, v)]
+    ru, rv = _dot(u, res), _dot(v, res)
+    return a + (ru * vv - rv * uv) / det, b + (rv * uu - ru * uv) / det
 
 
-def _usable_sample(s: Point2, l1: LineImplicit, l2: LineImplicit,
-                   c: LineImplicit) -> bool:
-    product = l1.value(s) * l2.value(s)
-    if abs(product) < _MIN_TANGENT_PRODUCT:
-        return False
-    # keep the recovery denominator well away from zero
-    return abs(product + _secant_square(c, s)) >= 1e-9
+def _dot(u, v) -> float:
+    u0, u1, u2, u3, u4, u5 = u
+    v0, v1, v2, v3, v4, v5 = v
+    return u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3 + u4 * v4 + u5 * v5
+
+
+def _unit_max(v) -> tuple[list[float], float]:
+    """``v`` divided by its largest magnitude, and that magnitude."""
+    m = max(map(abs, v))
+    if not 0.0 < m < math.inf:
+        raise NotReproducible("weighted coefficients vanish or overflow")
+    return [x / m for x in v], m
 
 
 def _secant_square(c: LineImplicit, s: Point2) -> float:

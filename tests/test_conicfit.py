@@ -132,6 +132,17 @@ class TestNullSpace:
         w = np.asarray(null_space_1d(ConstraintSystem(-system.rows)).coeffs())
         assert np.allclose(v, w)
 
+    def test_rank_test_is_blind_to_row_scale(self):
+        # tangential rows scale with the prescribed gradient; the unit
+        # circle's system gives one unit-norm conic for gradients of any length
+        conics = []
+        for k in (1e-12, 1.0, 1e200):
+            t1 = TangentConstraint(Point2(1, 0), GradientVec(k, 0))
+            t2 = TangentConstraint(Point2(0, 1), GradientVec(0, k))
+            conics.append(null_space_1d(build_constraint_system(t1, t2, Point2(-1, 0))))
+        assert conics[0] == conics[1] == conics[2]
+        assert equal_up_to_scale(conics[1], UNIT_CIRCLE, rtol=1e-12)
+
     def test_oracle_equivalence_random_systems(self):
         rng = np.random.default_rng(79)
         done = 0

@@ -28,6 +28,7 @@ from implicurve import (
 from implicurve.errors import (
     DegenerateSecant,
     NotTangent,
+    RecoveryFailed,
     SecantThroughForeignPoint,
     TangencyViolation,
     ZeroDenominator,
@@ -323,6 +324,30 @@ class TestReproduceConicWeights:
         shifted = ConicCoeffs(-1, 0, -1, 0.5, 0, 1)
         with pytest.raises(NotTangent):
             reproduce_conic_weights(shifted, CIRCLE_LINES, CIRCLE_POINTS)
+
+    @pytest.mark.parametrize("offset", [1e6, 1e7, 1e8, 1e9])
+    def test_far_offset_circle(self, offset):
+        # x^2 - 2*offset*x + offset^2 - 1 + y^2: a curve point found by
+        # sampling the conic carries the cancellation of its far coefficients
+        q = ConicCoeffs(-1, 0, -1, 2 * offset, 0, 1 - offset * offset)
+        lines = [LineImplicit(m.a, m.b, m.c - m.a * offset) for m in CIRCLE_LINES]
+        points = [Point2(p.x + offset, p.y) for p in CIRCLE_POINTS]
+        w = reproduce_conic_weights(q.scaled(-1.0), lines, points)
+        assert w.as_tuple() == pytest.approx((-2.0, -2.0, 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("radius, reproduces", [(1e30, True), (1e60, False)])
+    def test_overflowing_identity_check_fails_closed(self, radius, reproduces):
+        # x^2 + y^2 = R^2 touching x = +-R and y = +-R; at R = 1e60 the
+        # conic times the denominator overflows to inf, whose residual is NaN
+        q = ConicCoeffs(1, 0, 1, 0, 0, -radius * radius)
+        lines = [LineImplicit(m.a, m.b, radius) for m in CIRCLE_LINES]
+        points = [Point2(radius * p.x, radius * p.y) for p in CIRCLE_POINTS]
+        if reproduces:
+            w = reproduce_conic_weights(q, lines, points)
+            assert w.as_tuple() == pytest.approx((-2.0, -2.0, 2e-60), rel=1e-12)
+        else:
+            with pytest.raises(RecoveryFailed, match="overflows"):
+                reproduce_conic_weights(q, lines, points)
 
     def test_reproduction_identity_random_conics(self):
         rng = np.random.default_rng(73)

@@ -2,17 +2,19 @@
 
 The patch field and its gradient and the polynomial product each had a
 plainer implementation; those are kept here as references, written out in
-this file so that they do not move with the code under test.  The field and
-the gradient must match them bit for bit.  The polynomial product sums in
-another order, so it is held to a bound fixed from the dtype, 8 eps relative
-to the product of the absolute coefficient matrices.  A digest of solve
-outputs pins the whole path on generated configurations.
+this file so that they do not move with the code under test.  The field,
+the gradient and the product must match them bit for bit.  Expansions
+multiply in another order than a reference written from the formula, so
+they are held to a bound fixed from the dtype, 8 eps relative to the
+expansion of the absolute coefficients.  A digest of solve outputs pins the
+whole path on generated configurations.
 """
 
 import dataclasses
 import hashlib
 import math
 import struct
+from functools import reduce
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from implicurve import (
     LineImplicit,
     Point2,
     TangentConstraint,
+    TangentPairSpec,
     WeightTriple,
     expand_to_polynomial,
     fit_conic_two_tangents_one_point,
@@ -276,34 +279,43 @@ def test_product_within_bound_of_reference(a, b):
     assert got.shape == want.shape
     bound = 8.0 * EPS * reference_product(np.abs(a), np.abs(b))
     assert np.all(np.abs(got - want) <= bound)
+    # summed in the reference's order, so bit for bit
+    assert got.tobytes() == want.tobytes()
 
 
 def test_expansion_within_bound_of_reference():
     # the same 8 eps bound, taken relative to the expansion of the absolute
-    # values of every factor and weight
+    # values of every factor and weight, for one to three pairs
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        ell = random_ellipse(rng)
-        ts = spaced_angles(rng, 4)
-        w = WeightTriple(*rng.uniform(-3.0, 3.0, 3))
-        spec = four_tangent_patch([ell.tangent_at(t) for t in ts],
-                                  [ell.point_at(t) for t in ts], w, RAW)
+    for pairs in (2, 1, 3):
+        for _ in range(200):
+            _check_expansion(rng, pairs)
 
-        def expand(mul, absolute):
-            def poly(line):
-                c = BivariatePoly.from_line(line).coeffs
-                return np.abs(c) if absolute else c
-            pl = [poly(line) for line in spec.lines]
-            c1, c2 = poly(spec.c1), poly(spec.c2)
-            ws = [abs(v) if absolute else v for v in w.as_tuple()]
-            return (ws[0] * mul(mul(pl[0], pl[1]), mul(c2, c2))
-                    + ws[1] * mul(mul(pl[2], pl[3]), mul(c1, c1))
-                    + ws[2] * mul(mul(c1, c1), mul(c2, c2)))
 
-        got = expand_to_polynomial(spec).coeffs
-        want = expand(reference_product, False)
-        bound = 8.0 * EPS * expand(reference_product, True)
-        assert np.all(np.abs(got - want) <= bound)
+def _check_expansion(rng, pairs):
+    ell = random_ellipse(rng)
+    ts = spaced_angles(rng, 2 * pairs)
+    ws = tuple(rng.uniform(-3.0, 3.0, pairs + 1))
+    spec = TangentPairSpec([ell.tangent_at(t) for t in ts],
+                           [ell.point_at(t) for t in ts], ws, RAW)
+
+    def expand(mul, absolute):
+        def poly(line):
+            c = BivariatePoly.from_line(line).coeffs
+            return np.abs(c) if absolute else c
+        pl = [poly(line) for line in spec.lines]
+        squares = [mul(c, c) for c in map(poly, spec.secants)]
+        w = [abs(v) if absolute else v for v in ws]
+        total = w[-1] * reduce(mul, squares)
+        for i in range(pairs):
+            others = reduce(mul, squares[:i] + squares[i + 1:], np.ones((1, 1)))
+            total = total + w[i] * mul(mul(pl[2 * i], pl[2 * i + 1]), others)
+        return total
+
+    got = expand_to_polynomial(spec).coeffs
+    want = expand(reference_product, False)
+    bound = 8.0 * EPS * expand(reference_product, True)
+    assert np.all(np.abs(got - want) <= bound)
 
 
 # -- recorded outputs --------------------------------------------------------
@@ -340,8 +352,7 @@ def _solve_outputs(rng) -> list[str]:
         attempt(reproduce_conic_weights, q.scaled(-2.5), lines[::-1], points[::-1]),
         attempt(reproduce_conic_weights, q, lines[:3] + lines[2:3], points[:3] + points[2:3]),
         attempt(recover_lambda, q, lines[0], lines[1], c1),
-        attempt(recover_lambda, q, lines[2], lines[3], c2,
-                search_center=points[2].midpoint(points[3])),
+        attempt(recover_lambda, q, lines[2], lines[3], c2),
         attempt(recover_lambda, q, lines[0].flipped(), lines[1], c1),
         attempt(recover_lambda, q, lines[0], lines[1], c2),
         attempt(fit_conic_two_tangents_one_point,
@@ -363,10 +374,11 @@ def _solve_outputs(rng) -> list[str]:
 
 
 # recorded with the reference gradient and product in the package, the
-# closed-form ray roots of recover_lambda's sample search and the pencil fit
-# of fit_conic_two_tangents_one_point (only its 60 lines moved, by at most
-# 9.1e-15 from the SVD fit's unit-norm coefficients)
-SOLVE_OUTPUTS_SHA256 = "38b5246ed061e5f9ac0e1368ea8a91a334c05da93ac1dab64dddb46203e3f738"
+# pencil fit of fit_conic_two_tangents_one_point and recover_lambda's
+# projection onto the pencil (only recover_lambda and reproduce_conic_weights
+# lines moved from the sample search's outputs: 220 of 3,480, by at most
+# 6.6e-13 relative, no error code among them)
+SOLVE_OUTPUTS_SHA256 = "9f6ccb020505d9c0700914de24017ab7d7b9f779b9dce5f855cf95ec1fd297a8"
 
 
 def test_solve_outputs_match_recorded_digest():
