@@ -35,7 +35,6 @@ from .geom import (
     intersect_lines,
     line_product,
     line_through,
-    match_scale,
     orient_toward,
     secant_line,
 )
@@ -43,13 +42,10 @@ from .ipatch import (
     FAITHFUL,
     NORMALIZED,
     RAW,
-    IPatchSpec,
     TangentPairSpec,
     WeightTriple,
     expand_to_polynomial,
     four_tangent_patch,
-    ipatch_eval,
-    ipatch_gradient,
     reproduce_conic_weights,
 )
 from .liming import LambdaOmega, LimingSpec, liming_conic, recover_lambda
@@ -70,11 +66,10 @@ __all__ = [
     "Point2", "GradientVec", "LineImplicit", "ConicCoeffs",
     "line_through", "secant_line", "orient_toward",
     "intersect_lines", "line_product", "conic_eval", "conic_gradient",
-    "conic_tangent_line_at", "match_scale", "equal_up_to_scale",
+    "conic_tangent_line_at", "equal_up_to_scale",
     "LimingSpec", "LambdaOmega", "liming_conic", "recover_lambda",
     "RAW", "NORMALIZED", "FAITHFUL",
-    "IPatchSpec", "TangentPairSpec", "WeightTriple",
-    "ipatch_eval", "ipatch_gradient", "four_tangent_patch",
+    "TangentPairSpec", "WeightTriple", "four_tangent_patch",
     "reproduce_conic_weights", "expand_to_polynomial",
     "TangentConstraint", "ConstraintSystem", "build_constraint_system",
     "null_space_1d", "fit_conic_two_tangents_one_point",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .conicfit import TangentConstraint, fit_conic_two_tangents_one_point
@@ -16,24 +15,15 @@ from .contour import Bounds, sample_grid, trace_contours, verify_tangency
 from .errors import CurveError, ModeConflict
 from .geom import ConicCoeffs, GradientVec, Point2
 from .ipatch import reproduce_conic_weights
-from .scene import MODE_LIMING, _ordered_tangents, build_scene_field, parse_scene
+from .scene import MODE_LIMING, _ordered_tangents, build_scene_field, parse_real, parse_scene
 from .svgout import emit_svg
-
-
-def _num(token: str) -> float:
-    try:
-        if "/" in token:
-            return float(Fraction(token))
-        return float(token)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad number {token!r}: zero denominator") from exc
 
 
 def _num_list(text: str, count: int, what: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != count:
         raise ValueError(f"{what} expects {count} comma-separated numbers")
-    return [_num(p.strip()) for p in parts]
+    return [parse_real(p.strip()) for p in parts]
 
 
 def _load_scene(path: str):

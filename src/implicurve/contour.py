@@ -1,15 +1,15 @@
 """Zero-set extraction on sampled grids, plus tangency verification.
 
-Any object with ``value(Point2) -> float`` and ``gradient(Point2) ->
-GradientVec`` is a field here; lines, conics, two-tangent blends and patch
-specs all qualify.  These also offer ``values(x, y)`` over numpy arrays (see
-:class:`FieldRef`), which samples the whole lattice in one call; a field
-without it is sampled point by point.  Either way a lattice point holds NaN
-where the point value is non-finite or evaluation fails.  Sampled fields are
-contoured with marching squares: one crossing per sign-change edge, linear
-interpolation along the edge, ambiguous saddle cells resolved by the sign of
-a cell-center sample.  Segments are chained into polylines through shared
-edge crossings, which are computed once per edge so chains match exactly.
+Any object with ``value(Point2) -> float``, ``values(x, y)`` over numpy
+arrays and ``gradient(Point2) -> GradientVec`` is a field here (see
+:class:`FieldRef`); lines, conics, two-tangent blends and blends of k
+tangent pairs all qualify.  ``values`` samples the whole lattice in one
+call, and a lattice point holds NaN where the point value is non-finite or
+evaluation fails.  Sampled fields are contoured with marching squares: one
+crossing per sign-change edge, linear interpolation along the edge,
+ambiguous saddle cells resolved by the sign of a cell-center sample.
+Segments are chained into polylines through shared edge crossings, which are
+computed once per edge so chains match exactly.
 """
 
 from __future__ import annotations
@@ -27,13 +27,15 @@ from .geom import GradientVec, LineImplicit, Point2
 class FieldRef(Protocol):
     """Evaluation contract shared by every curve object in the package.
 
-    The package's fields also have ``values(x, y)`` over numpy arrays that
-    broadcast together: ``value`` element by element, NaN where ``value``
-    would raise FieldEvaluationError.  It is optional; :func:`sample_grid`
-    uses it when present and also turns any other non-finite result into NaN.
+    ``values(x, y)`` takes numpy arrays that broadcast together and gives
+    ``value`` element by element, NaN where ``value`` would raise
+    FieldEvaluationError; :func:`sample_grid` also turns any other
+    non-finite result into NaN.
     """
 
     def value(self, p: Point2) -> float: ...
+
+    def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
 
     def gradient(self, p: Point2) -> GradientVec: ...
 
@@ -135,9 +137,9 @@ MAX_RESOLUTION = 2048  # cells per axis; a lattice is (N+1)^2 samples
 def sample_grid(field: FieldRef, bounds: Bounds, resolution: int) -> GridSampling:
     """Sample the field on the lattice; failed evaluations become NaN.
 
-    A field with ``values(x, y)`` is evaluated over the whole lattice in one
-    call, any other point by point.  Resolutions above MAX_RESOLUTION are
-    rejected before anything is allocated.
+    The field's ``values(x, y)`` evaluates the whole lattice in one call.
+    Resolutions above MAX_RESOLUTION are rejected before anything is
+    allocated.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 cells per axis")
@@ -146,30 +148,13 @@ def sample_grid(field: FieldRef, bounds: Bounds, resolution: int) -> GridSamplin
             f"resolution must be at most {MAX_RESOLUTION} cells per axis, got {resolution}")
     xs = np.linspace(bounds.xmin, bounds.xmax, resolution + 1)
     ys = np.linspace(bounds.ymin, bounds.ymax, resolution + 1)
-    values_at = getattr(field, "values", None)
-    if values_at is not None:
-        # an (N+1) x 1 column of x and a 1 x (N+1) row of y, which the
-        # field's arithmetic broadcasts to the lattice
-        x, y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
-        with np.errstate(all="ignore"):
-            values = np.asarray(values_at(x, y), dtype=float)
-        values = np.broadcast_to(values, (resolution + 1, resolution + 1))
-        values = np.where(np.isfinite(values), values, np.nan)
-        return GridSampling(bounds, resolution, values, field)
-
-    values = np.empty((resolution + 1, resolution + 1))
-    # plain floats: numpy scalars slow the pure-Python field evaluations down
-    ys = ys.tolist()
-    evaluate = field.value
-    isfinite = math.isfinite
-    for i, x in enumerate(xs.tolist()):
-        row = values[i]
-        for j, y in enumerate(ys):
-            try:
-                v = evaluate(Point2(x, y))
-            except FieldEvaluationError:
-                v = math.nan
-            row[j] = v if isfinite(v) else math.nan
+    # an (N+1) x 1 column of x and a 1 x (N+1) row of y, which the field's
+    # arithmetic broadcasts to the lattice
+    x, y = np.meshgrid(xs, ys, indexing="ij", sparse=True)
+    with np.errstate(all="ignore"):
+        values = np.asarray(field.values(x, y), dtype=float)
+    values = np.broadcast_to(values, (resolution + 1, resolution + 1))
+    values = np.where(np.isfinite(values), values, np.nan)
     return GridSampling(bounds, resolution, values, field)
 
 

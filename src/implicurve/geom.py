@@ -271,16 +271,11 @@ def conic_tangent_line_at(q: ConicCoeffs, p: Point2) -> LineImplicit:
     return line.normalized()
 
 
-def match_scale(target: ConicCoeffs, base: ConicCoeffs) -> float:
-    """Least-squares scalar s minimizing ||target - s*base||."""
-    num = sum(t * b for t, b in zip(target.coeffs(), base.coeffs()))
-    den = sum(b * b for b in base.coeffs())
-    return num / den
-
-
 def equal_up_to_scale(q1: ConicCoeffs, q2: ConicCoeffs, rtol: float = 1e-9) -> bool:
     """True iff one coefficient vector is a nonzero multiple of the other."""
-    s = match_scale(q1, q2)
+    # the least-squares scalar s minimizing ||q1 - s*q2||
+    s = (sum(t * b for t, b in zip(q1.coeffs(), q2.coeffs()))
+         / sum(b * b for b in q2.coeffs()))
     if s == 0.0 or not math.isfinite(s):
         return False
     resid = max(abs(v1 - s * v2) for v1, v2 in zip(q1.coeffs(), q2.coeffs()))

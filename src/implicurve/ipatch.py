@@ -1,34 +1,30 @@
-"""Implicit blends of tangential data against squared bounding lines.
+"""Implicit blends of k tangent-line pairs against their squared secants.
 
-An n-sided patch combines ribbon fields R_i (here products of one or two
-tangent lines) with bounding lines B_j:
+Pair i's tangent lines L_{2i-1} and L_{2i} touch at two points, and the
+secant C_i passes through them.  With weights (w1, ..., wk, w0) the field
 
-    I = sum_i w_i * R_i * prod_{j != i} B_j^2  +  w0 * prod_j B_j^2
+    I = sum_i w_i * L_{2i-1} * L_{2i} * prod_{j != i} C_j^2  +  w0 * prod_j C_j^2
 
-Three evaluation forms are supported: ``raw`` is the polynomial above;
-``normalized`` divides by sum_i prod_{j != i} B_j^2, which removes the raw
-form's isolated zeros; ``faithful`` divides by sum_i w_i prod_{j != i} B_j^2.
-All three share a zero set wherever the denominators are nonzero.  A
-two-sided patch whose ribbons are both line pairs, as every two-pair
-construction's are, is evaluated by a dedicated kernel that reads the 21
-floats of its lines and weights from a tuple the spec builds once and does,
-written out without per-side loops, the float operations of the generic
-n-sided path in the same order; both give the same bits, and every other
-patch takes the generic path.
+has degree 2k and touches all 2k lines for any weights; one pair is the
+two-tangent conic, two pairs the four-tangent quartic.  Three evaluation
+forms are supported: ``raw`` is the polynomial above; ``normalized`` divides
+by sum_i prod_{j != i} C_j^2, which removes the raw form's isolated zeros;
+``faithful`` divides by sum_i w_i prod_{j != i} C_j^2.  All three share a
+zero set wherever the denominators are nonzero.  Two pairs are evaluated by
+a dedicated kernel that reads the 21 floats of their secants, lines and
+weights from a tuple the spec builds once and does, written out without
+per-pair loops, the float operations of the generic k-pair path in the same
+order; both give the same bits, and every other k takes the generic path.
 
-The tangent-pair construction blends k tangent-line pairs against the k
-secants through their tangency points, giving a field of degree 2k that
-touches all 2k lines; one pair is the two-tangent conic, two pairs the
-four-tangent quartic.  When the lines are tangents of one conic, weights
-computed by :func:`reproduce_conic_weights` make the normalized patch
-coincide with it.
+When the lines are tangents of one conic, weights computed by
+:func:`reproduce_conic_weights` make the normalized field coincide with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -64,58 +60,6 @@ FORMS = (RAW, NORMALIZED, FAITHFUL)
 EPS_DEN = 1e-12
 
 
-def _check_form(form: str) -> None:
-    if form not in FORMS:
-        raise ValueError(f"form must be one of {FORMS}, got {form!r}")
-
-
-@dataclass(frozen=True)
-class IPatchSpec:
-    """General n-sided blend specification.
-
-    ``ribbons[i]`` holds the lines whose product forms R_i; ``boundings[i]``
-    is B_i.  Lines are kept unexpanded and multiplied at evaluation time;
-    :func:`expand_to_polynomial` is the only place full expansion happens.
-    """
-
-    ribbons: tuple[tuple[LineImplicit, ...], ...]
-    boundings: tuple[LineImplicit, ...]
-    weights: tuple[float, ...]
-    w0: float
-    form: str = RAW
-    # what the two-sided kernel reads (see _pair_floats); None for patches
-    # that take the generic path
-    pair_floats: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ribbons", tuple(tuple(r) for r in self.ribbons))
-        object.__setattr__(self, "boundings", tuple(self.boundings))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        n = len(self.ribbons)
-        if n < 1 or len(self.boundings) != n or len(self.weights) != n:
-            raise ValueError("ribbons, boundings and weights must share length n >= 1")
-        for r in self.ribbons:
-            if not 1 <= len(r) <= 2:
-                raise ValueError("each ribbon is a product of one or two lines")
-        if not all(math.isfinite(w) for w in (*self.weights, self.w0)):
-            raise ValueError("weights must be finite")
-        _check_form(self.form)
-        object.__setattr__(self, "pair_floats", _pair_floats(self))
-
-    @property
-    def sides(self) -> int:
-        return len(self.ribbons)
-
-    def value(self, p: Point2) -> float:
-        return ipatch_eval(self, p)
-
-    def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return ipatch_values(self, x, y)
-
-    def gradient(self, p: Point2) -> GradientVec:
-        return ipatch_gradient(self, p)
-
-
 def _prod_except(values, skip: int):
     out = 1.0
     for j, v in enumerate(values):
@@ -132,39 +76,31 @@ def _prod_except2(values, skip1: int, skip2: int) -> float:
     return out
 
 
-def _ribbon(r: tuple[LineImplicit, ...], x, y):
-    """R = L or L * L' at (x, y), floats or arrays."""
-    line = r[0]
-    v = line.a * x + line.b * y + line.c
-    if len(r) == 2:
-        line = r[1]
-        v = v * (line.a * x + line.b * y + line.c)
-    return v
-
-
-def _field(spec: IPatchSpec, x, y):
-    """Numerator and denominator of an n-sided blend at (x, y).
+def _field(spec: TangentPairSpec, x, y):
+    """Numerator and denominator of the blend of k tangent pairs at (x, y).
 
     ``x`` and ``y`` are floats or numpy arrays that broadcast together; the
     arithmetic is the same for both, so a lattice sample equals the point
     value bit for bit.  The denominator is that of the selected form (None
-    for ``raw``).  Only the squares B_j^2 are kept for the whole loop; each
-    product prod_{j != i} B_j^2 and ribbon goes into both sums and is
-    dropped, so on a lattice no other intermediate array outlives its side.
-    Two-sided patches go through :func:`_field2`, which does the same float
+    for ``raw``).  Only the squares C_j^2 are kept for the whole loop; each
+    product prod_{j != i} C_j^2 and line product goes into both sums and is
+    dropped, so on a lattice no other intermediate array outlives its pair.
+    Two pairs go through :func:`_field2`, which does the same float
     operations.
     """
     bsq = []
-    for b in spec.boundings:
+    for b in spec.secants:
         v = b.a * x + b.b * y + b.c
         bsq.append(v * v)
+    *ws, w0 = spec.weights
     form = spec.form
-    num = spec.w0 * math.prod(bsq)
+    num = w0 * math.prod(bsq)
     # sum()'s int 0 start, which turns a weighted -0.0 into 0.0
     den = None if form == RAW else 0
-    for i, (r, w) in enumerate(zip(spec.ribbons, spec.weights)):
+    lines = spec.lines
+    for i, (u, v, w) in enumerate(zip(lines[::2], lines[1::2], ws)):
         e = _prod_except(bsq, i)
-        num = num + w * _ribbon(r, x, y) * e
+        num = num + w * ((u.a * x + u.b * y + u.c) * (v.a * x + v.b * y + v.c)) * e
         if form == NORMALIZED:
             den = den + e
         elif form == FAITHFUL:
@@ -172,21 +108,11 @@ def _field(spec: IPatchSpec, x, y):
     return num, den
 
 
-def _pair_floats(spec: IPatchSpec) -> tuple[float, ...] | None:
-    """The two bounding lines, the four ribbon lines and the weights (w1, w2,
-    w0) of a two-sided patch of two line pairs, as 21 floats; else None."""
-    if len(spec.ribbons) != 2 or any(len(r) != 2 for r in spec.ribbons):
-        return None
-    lines = (*spec.boundings, *spec.ribbons[0], *spec.ribbons[1])
-    return (*(v for line in lines for v in (line.a, line.b, line.c)),
-            *spec.weights, spec.w0)
+def _field2(spec: TangentPairSpec, x, y):
+    """Numerator and denominator of the blend of two tangent pairs.
 
-
-def _field2(spec: IPatchSpec, x, y):
-    """Numerator and denominator of a two-sided blend of two line pairs.
-
-    The float operations of :func:`_field` for n = 2, where
-    prod_{j != i} B_j^2 is the other side's square, written out over
+    The float operations of :func:`_field` for k = 2, where
+    prod_{j != i} C_j^2 is the other pair's square, written out over
     ``spec.pair_floats``.  Each name is rebound once its value is used, so on
     a lattice no intermediate array outlives its use.
     """
@@ -209,78 +135,42 @@ def _field2(spec: IPatchSpec, x, y):
     return num, 0.0 + w1 * s2 + w2 * s1
 
 
-def _require_denominator(spec: IPatchSpec, den: float, p: Point2) -> None:
+def _require_denominator(spec: TangentPairSpec, den: float, p: Point2) -> None:
     if abs(den) <= EPS_DEN:
         raise ZeroDenominator(
             f"{spec.form} form denominator zero at ({p.x}, {p.y})")
 
 
-def ipatch_eval(spec: IPatchSpec, p: Point2) -> float:
-    """Evaluate the patch field at a point in its selected form.
-
-    Raises ZeroDenominator for the normalized/faithful forms at common zeros
-    of the relevant bounding products.
-    """
-    kernel = _field if spec.pair_floats is None else _field2
-    num, den = kernel(spec, p.x, p.y)
-    if den is None:
-        return num
-    _require_denominator(spec, den, p)
-    return num / den
-
-
-def ipatch_values(spec: IPatchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The patch field over arrays of coordinates, NaN where ``|den| <= EPS_DEN``.
-
-    Each element equals :func:`ipatch_eval` at that point bit for bit; where
-    the point call raises ZeroDenominator the array holds NaN.
-    """
-    kernel = _field if spec.pair_floats is None else _field2
-    num, den = kernel(spec, x, y)
-    if den is None:
-        return num
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(den) > EPS_DEN, num / den, np.nan)
-
-
-def _ribbon_gradient(r: tuple[LineImplicit, ...], x: float, y: float):
-    """R = L or L * L' at a point, with its gradient."""
-    u = r[0]
-    uv = u.a * x + u.b * y + u.c
-    if len(r) == 1:
-        return uv, u.a, u.b
-    v = r[1]
-    vv = v.a * x + v.b * y + v.c
-    return uv * vv, u.a * vv + v.a * uv, u.b * vv + v.b * uv
-
-
-def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
+def _gradient(spec: TangentPairSpec, p: Point2) -> GradientVec:
     """Exact analytic gradient of the selected form at a point."""
-    if spec.pair_floats is not None:
-        return _gradient2(spec, p)
     x, y = p.x, p.y
-    boundings = spec.boundings
-    bvals = [b.a * x + b.b * y + b.c for b in boundings]
+    secants = spec.secants
+    bvals = [b.a * x + b.b * y + b.c for b in secants]
     bsq = [v * v for v in bvals]
     n = len(bsq)
     pe = [_prod_except(bsq, i) for i in range(n)]
+    *ws, w0 = spec.weights
     normalized = spec.form == NORMALIZED
 
-    # one pass over the sides: raw form and its gradient, and the denominator
-    # and its gradient, each summed in side order as _field sums them.  The
+    # one pass over the pairs: raw form and its gradient, and the denominator
+    # and its gradient, each summed in pair order as _field sums them.  The
     # w0 term comes last, unlike _field's numerator: the two orders can
     # differ in the last bit, and this one keeps gradients bit-stable across
     # releases
     raw = raw_gx = raw_gy = den = den_gx = den_gy = 0.0
-    for i, (r, w) in enumerate(zip(spec.ribbons, spec.weights)):
-        # gradient of prod_{j != i} B_j^2
+    lines = spec.lines
+    for i, (u, v, w) in enumerate(zip(lines[::2], lines[1::2], ws)):
+        # gradient of prod_{j != i} C_j^2
         pgx = pgy = 0.0
         for k in range(n):
             if k != i:
                 factor = 2.0 * bvals[k] * _prod_except2(bsq, i, k)
-                pgx += factor * boundings[k].a
-                pgy += factor * boundings[k].b
-        rib, rgx, rgy = _ribbon_gradient(r, x, y)
+                pgx += factor * secants[k].a
+                pgy += factor * secants[k].b
+        # the line product R = U * V and its gradient
+        uv = u.a * x + u.b * y + u.c
+        vv = v.a * x + v.b * y + v.c
+        rib, rgx, rgy = uv * vv, u.a * vv + v.a * uv, u.b * vv + v.b * uv
         raw += w * rib * pe[i]
         raw_gx += w * (rgx * pe[i] + rib * pgx)
         raw_gy += w * (rgy * pe[i] + rib * pgy)
@@ -292,11 +182,11 @@ def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
             den += w * pe[i]
             den_gx += w * pgx
             den_gy += w * pgy
-    raw += spec.w0 * math.prod(bsq)
+    raw += w0 * math.prod(bsq)
     for k in range(n):
-        factor = spec.w0 * 2.0 * bvals[k] * pe[k]  # pe[k] = prod_{j != k} B_j^2
-        raw_gx += factor * boundings[k].a
-        raw_gy += factor * boundings[k].b
+        factor = w0 * 2.0 * bvals[k] * pe[k]  # pe[k] = prod_{j != k} C_j^2
+        raw_gx += factor * secants[k].a
+        raw_gy += factor * secants[k].b
     if spec.form == RAW:
         return GradientVec(raw_gx, raw_gy)
 
@@ -308,9 +198,9 @@ def ipatch_gradient(spec: IPatchSpec, p: Point2) -> GradientVec:
     )
 
 
-def _gradient2(spec: IPatchSpec, p: Point2) -> GradientVec:
-    """Gradient of a two-sided patch of two line pairs: ipatch_gradient's
-    loop, written out over ``spec.pair_floats``.
+def _gradient2(spec: TangentPairSpec, p: Point2) -> GradientVec:
+    """Gradient of the blend of two tangent pairs: :func:`_gradient`'s loop,
+    written out over ``spec.pair_floats``.
 
     Every sum starts from 0.0 as the loop's do, which turns a -0.0 first term
     into 0.0, and the w0 terms come last.
@@ -322,14 +212,14 @@ def _gradient2(spec: IPatchSpec, p: Point2) -> GradientVec:
     v2 = b2a * x + b2b * y + b2c
     s1 = v1 * v1
     s2 = v2 * v2
-    # each ribbon R = U * V and its gradient
+    # each line product R = U * V and its gradient
     uv = u1a * x + u1b * y + u1c
     vv = v1a * x + v1b * y + v1c
     r1, r1x, r1y = uv * vv, u1a * vv + v1a * uv, u1b * vv + v1b * uv
     uv = u2a * x + u2b * y + u2c
     vv = v2a * x + v2b * y + v2c
     r2, r2x, r2y = uv * vv, u2a * vv + v2a * uv, u2b * vv + v2b * uv
-    # gradients of the other side's square: 2 * B_j * grad B_j
+    # gradients of the other pair's square: 2 * C_j * grad C_j
     f = 2.0 * v2
     p1x = 0.0 + f * b2a
     p1y = 0.0 + f * b2b
@@ -398,6 +288,24 @@ def _pair_secants(points: Sequence[Point2]) -> tuple[LineImplicit, ...]:
         raise DegenerateSecant(str(exc)) from exc
 
 
+def _check_pairs(lines: Sequence[LineImplicit], points: Sequence[Point2],
+                 secants: tuple[LineImplicit, ...] | None = None
+                 ) -> tuple[LineImplicit, ...]:
+    """The checks of :class:`TangentPairSpec`, in its order: each point on
+    its line, then the secants (derived by :func:`_pair_secants` unless
+    given), then no secant through another pair's point.  Returns the
+    secants."""
+    check_tangency_points(lines, points)
+    if secants is None:
+        secants = _pair_secants(points)
+    for i, secant in enumerate(secants):
+        for pt in points[:2 * i] + points[2 * i + 2:]:
+            if abs(secant.value(pt)) <= EPS_ON_CURVE:
+                raise SecantThroughForeignPoint(
+                    f"secant through another pair's tangency point {pt}")
+    return secants
+
+
 def _products_except(polys: list, times) -> list:
     """prod_{j != i} polys[j] for each i, multiplied by ``times``; the
     constant 1 for a single poly."""
@@ -416,8 +324,8 @@ class TangentPairSpec:
 
         sum_i w_i * L_{2i-1} * L_{2i} * prod_{j != i} C_j^2 + w0 * prod_j C_j^2
 
-    evaluated per ``form`` through the k-sided patch lowering.  It touches
-    every line at its point for any weights, since at a point of pair i every
+    evaluated per ``form`` (see the module docstring).  It touches every
+    line at its point for any weights, since at a point of pair i every
     other term holds C_i^2.  Two pairs keep their weights as a WeightTriple,
     other k as a tuple.
 
@@ -432,6 +340,8 @@ class TangentPairSpec:
     weights: WeightTriple | tuple[float, ...]
     form: str = RAW
     secants: tuple[LineImplicit, ...] = field(init=False, compare=False)
+    # what the two-pair kernels read (see _field2); None for other k
+    pair_floats: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lines", tuple(self.lines))
@@ -440,16 +350,14 @@ class TangentPairSpec:
         ws = tuple(map(float, self.weights))
         if len(ws) != k + 1 or not all(map(math.isfinite, ws)):
             raise ValueError(f"{k} tangent pairs take {k + 1} finite weights")
-        _check_form(self.form)
-        check_tangency_points(self.lines, self.points)
-        secants = _pair_secants(self.points)
-        for i, secant in enumerate(secants):
-            for pt in self.points[:2 * i] + self.points[2 * i + 2:]:
-                if abs(secant.value(pt)) <= EPS_ON_CURVE:
-                    raise SecantThroughForeignPoint(
-                        f"secant through another pair's tangency point {pt}")
+        if self.form not in FORMS:
+            raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
+        secants = _check_pairs(self.lines, self.points)
         object.__setattr__(self, "weights", WeightTriple(*ws) if k == 2 else ws)
         object.__setattr__(self, "secants", secants)
+        object.__setattr__(self, "pair_floats", None if k != 2 else (
+            *(v for line in (*secants, *self.lines) for v in (line.a, line.b, line.c)),
+            *ws))
 
     @property
     def c1(self) -> LineImplicit:
@@ -461,26 +369,35 @@ class TangentPairSpec:
         """The second pair's secant."""
         return self.secants[1]
 
-    @cached_property
-    def patch(self) -> IPatchSpec:
-        """Lowering to the k-sided blend: R_i = L_{2i-1} * L_{2i}, B_i = C_i."""
-        ws = tuple(self.weights)
-        return IPatchSpec(
-            ribbons=tuple(zip(self.lines[::2], self.lines[1::2])),
-            boundings=self.secants,
-            weights=ws[:-1],
-            w0=ws[-1],
-            form=self.form,
-        )
-
     def value(self, p: Point2) -> float:
-        return ipatch_eval(self.patch, p)
+        """The field at a point in its selected form.
+
+        Raises ZeroDenominator for the normalized/faithful forms at common
+        zeros of the relevant secant products.
+        """
+        kernel = _field if self.pair_floats is None else _field2
+        num, den = kernel(self, p.x, p.y)
+        if den is None:
+            return num
+        _require_denominator(self, den, p)
+        return num / den
 
     def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return ipatch_values(self.patch, x, y)
+        """The field over arrays of coordinates, NaN where ``|den| <= EPS_DEN``.
+
+        Each element equals :meth:`value` at that point bit for bit; where
+        the point call raises ZeroDenominator the array holds NaN.
+        """
+        kernel = _field if self.pair_floats is None else _field2
+        num, den = kernel(self, x, y)
+        if den is None:
+            return num
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(np.abs(den) > EPS_DEN, num / den, np.nan)
 
     def gradient(self, p: Point2) -> GradientVec:
-        return ipatch_gradient(self.patch, p)
+        """Exact analytic gradient of the selected form at a point."""
+        return (_gradient if self.pair_floats is None else _gradient2)(self, p)
 
 
 # the two-pair construction under its four-tangent name
@@ -491,14 +408,17 @@ def expand_to_polynomial(spec: TangentPairSpec) -> BivariatePoly:
     """Expand the raw field of k tangent pairs into a dense degree-2k polynomial."""
     if spec.form != RAW:
         raise ValueError("only the raw form is a polynomial")
-    raw, _, width = _expand(spec)
+    raw, _, width = _expand(spec.lines, spec.secants, tuple(spec.weights))
     return BivariatePoly(np.reshape(raw, (width, width)))
 
 
-def _expand(spec: TangentPairSpec) -> tuple[list[float], list[float], int]:
-    """The raw field and the normalized denominator sum_i prod_{j != i} C_j^2,
-    flat in the layout of width 2k + 1 (see :mod:`.poly`), and that width."""
-    width = 2 * len(spec.secants) + 1
+def _expand(lines: Sequence[LineImplicit], secants: Sequence[LineImplicit],
+            ws: Sequence[float]) -> tuple[list[float], list[float], int]:
+    """The raw field of the pairs' lines, secants and weights
+    ``(w1, ..., wk, w0)``, and the normalized denominator
+    sum_i prod_{j != i} C_j^2, flat in the layout of width 2k + 1 (see
+    :mod:`.poly`), and that width."""
+    width = 2 * len(secants) + 1
     size = width * width
 
     def times(a, b):
@@ -506,12 +426,11 @@ def _expand(spec: TangentPairSpec) -> tuple[list[float], list[float], int]:
         add_product(out, a, b)
         return poly_terms(out)
 
-    lines = [line_terms(m, width) for m in spec.lines]
-    squares = [times(t, t) for t in (line_terms(c, width) for c in spec.secants)]
+    terms = [line_terms(m, width) for m in lines]
+    squares = [times(t, t) for t in (line_terms(c, width) for c in secants)]
     others = _products_except(squares, times)
-    ws = tuple(spec.weights)
     raw = [0.0] * size
-    for w, l1, l2, o in zip(ws, lines[::2], lines[1::2], others):
+    for w, l1, l2, o in zip(ws, terms[::2], terms[1::2], others):
         add_product(raw, [(n, w * v) for n, v in times(l1, l2)], o)
     # prod_j C_j^2 is the last square times the product of the others
     add_product(raw, [(n, ws[-1] * v) for n, v in others[-1]], squares[-1])
@@ -524,7 +443,7 @@ def _expand(spec: TangentPairSpec) -> tuple[list[float], list[float], int]:
 
 def reproduce_conic_weights(q: ConicCoeffs, lines: Sequence[LineImplicit],
                             points: Sequence[Point2]) -> WeightTriple | tuple[float, ...]:
-    """Weights making the normalized patch of k tangent pairs equal the conic.
+    """Weights making the normalized field of k tangent pairs equal the conic.
 
     Each line must be tangent to ``q`` at its point (checked to 1e-7).  The
     pairs are solved independently for their blend parameters, then
@@ -534,7 +453,8 @@ def reproduce_conic_weights(q: ConicCoeffs, lines: Sequence[LineImplicit],
 
     where omega_i scales pair i's blend onto q.  Note the minus sign on w0:
     the blends here subtract the squared secant, so the mixed weight carries
-    the opposite sign from conventions that add it.  The identity
+    the opposite sign from conventions that add it.  The pairs pass the
+    checks of :class:`TangentPairSpec`, and the identity
     raw_field == q * sum_i prod_{j != i} C_j^2 is verified coefficient-wise
     before returning.  The weights come as the spec holds them: a
     WeightTriple for two pairs, a tuple ``(w1, ..., wk, w0)`` otherwise.
@@ -560,17 +480,18 @@ def reproduce_conic_weights(q: ConicCoeffs, lines: Sequence[LineImplicit],
     weights = [omega * (1.0 - rec.lam) for omega, rec in zip(omegas, recs)]
     weights.append(-sum(omega * rec.lam for omega, rec in zip(omegas, recs)))
 
-    patch = TangentPairSpec(lines, points, weights, RAW)
-    got, den, width = _expand(patch)
+    _check_pairs(lines, points, secants)
+    got, den, width = _expand(lines, secants, weights)
     target = [0.0] * len(den)
     add_product(target, conic_terms(q, width), poly_terms(den))
     diffs = [abs(g - t) for g, t in zip(got, target)]
     scale = max(map(abs, target))
-    # max() skips a NaN that is not first, so overflow is tested for directly
+    # max() skips a NaN that is not first, so overflow, a non-finite weight
+    # included, is tested for directly
     if not (all(map(math.isfinite, diffs)) and math.isfinite(scale)):
         raise RecoveryFailed("reconstructed field overflows a float")
     resid = max(diffs)
     if resid > 1e-8 * scale:
         raise RecoveryFailed(
             f"reconstructed field does not reproduce the conic (residual {resid:.3g})")
-    return patch.weights
+    return WeightTriple(*weights) if len(weights) == 3 else tuple(weights)

@@ -72,12 +72,26 @@ class SceneDoc:
         raise KeyError(name)
 
 
+def parse_real(token: str) -> float:
+    """A decimal token, or a rational ``p/q`` converted to float once.
+
+    Raises ValueError for a malformed token, a zero denominator or a
+    rational beyond float range.
+    """
+    if "/" not in token:
+        return float(token)
+    try:
+        return float(Fraction(token))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad number {token!r}: zero denominator") from exc
+    except OverflowError as exc:
+        raise ValueError(f"bad number {token!r}: out of float range") from exc
+
+
 def _parse_number(token: str, lineno: int, col: int) -> float:
     try:
-        if "/" in token:
-            return float(Fraction(token))
-        value = float(token)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = parse_real(token)
+    except ValueError as exc:
         raise SceneSyntaxError(f"bad number {token!r}", lineno, col) from exc
     if value != value or value in (float("inf"), float("-inf")):
         raise SceneSyntaxError(f"non-finite number {token!r}", lineno, col)

@@ -1,5 +1,5 @@
 """Shared test helpers: finite differences, random conic factories and
-hypothesis strategies for lines and patches."""
+hypothesis strategies for lines and tangent-pair specs."""
 
 from __future__ import annotations
 
@@ -7,9 +7,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from implicurve import ConicCoeffs, IPatchSpec, LineImplicit, Point2, conic_tangent_line_at
+from implicurve import (
+    ConicCoeffs,
+    LineImplicit,
+    Point2,
+    TangentPairSpec,
+    conic_tangent_line_at,
+)
+from implicurve.errors import CurveError
 from implicurve.ipatch import FORMS
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
@@ -19,14 +27,26 @@ lines = st.tuples(coords, coords, coords).filter(
     lambda abc: math.hypot(abc[0], abc[1]) > 1e-3).map(lambda abc: LineImplicit(*abc))
 
 
+def foot(line: LineImplicit, x: float, y: float) -> Point2:
+    """The point of the line nearest (x, y)."""
+    t = line.values(x, y) / (line.a * line.a + line.b * line.b)
+    return Point2(x - t * line.a, y - t * line.b)
+
+
 @st.composite
-def ipatches(draw, sides=st.integers(1, 3)):
-    """n-sided patches, n from 1 to 3 unless ``sides`` draws it, with one- and
-    two-line ribbons."""
-    n = draw(sides)
-    ribbons = [tuple(draw(st.lists(lines, min_size=1, max_size=2))) for _ in range(n)]
-    return IPatchSpec(ribbons, [draw(lines) for _ in range(n)],
-                      [draw(weights) for _ in range(n)], draw(weights), draw(forms))
+def pair_specs(draw, pairs=st.integers(1, 3)):
+    """Specs of k tangent pairs, k from 1 to 3 unless ``pairs`` draws it: random
+    lines, each with a random point on it, and random weights and form.
+    Draws the constructor refuses (a point off its line after rounding,
+    coinciding points, a secant through another pair's point) are skipped."""
+    k = draw(pairs)
+    ls = [draw(lines) for _ in range(2 * k)]
+    points = [foot(line, draw(coords), draw(coords)) for line in ls]
+    try:
+        return TangentPairSpec(ls, points, [draw(weights) for _ in range(k + 1)],
+                               draw(forms))
+    except CurveError:
+        assume(False)
 
 
 def central_diff(field, p: Point2, h: float = 1e-5) -> tuple[float, float]:

@@ -259,6 +259,12 @@ class TestNumbers:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error[Validation]: bad number '1/0'")
 
+    def test_rational_beyond_float_range_is_validation_error(self, capsys):
+        huge = "1" + "0" * 400 + "/1"
+        assert main(["eval", CIRCLE, f"--at={huge},0"]) == 1
+        assert capsys.readouterr().err == (
+            f"error[Validation]: bad number {huge!r}: out of float range\n")
+
 
 class TestFit:
     def test_circle_constraints(self, capsys):

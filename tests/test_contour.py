@@ -175,6 +175,9 @@ class TestSaddleDisambiguation:
             def value(self, p):
                 return p.x * p.y - 1e-3
 
+            def values(self, x, y):
+                return x * y - 1e-3
+
             def gradient(self, p):
                 raise NotImplementedError
 

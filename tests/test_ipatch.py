@@ -11,7 +11,6 @@ from implicurve import (
     NORMALIZED,
     RAW,
     ConicCoeffs,
-    IPatchSpec,
     LimingSpec,
     LineImplicit,
     Point2,
@@ -21,7 +20,6 @@ from implicurve import (
     expand_to_polynomial,
     four_tangent_patch,
     intersect_lines,
-    ipatch_eval,
     liming_conic,
     reproduce_conic_weights,
 )
@@ -39,6 +37,7 @@ from conftest import (
     central_diff,
     coords,
     ellipse_tangents,
+    foot,
     random_ellipse,
     spaced_angles,
 )
@@ -91,31 +90,30 @@ def _sympy_patch_poly(spec):
 
 class TestIPatchEval:
     def test_one_sided_patch_is_two_tangent_blend(self):
-        secant = LineImplicit(-1, -1, 1)
-        spec = IPatchSpec(ribbons=((L1, L2),), boundings=(secant,),
-                          weights=(2.0 / 3.0,), w0=-1.0 / 3.0)
-        assert ipatch_eval(spec, Point2(0, 0)) == pytest.approx(1.0 / 3.0)
+        spec = TangentPairSpec((L1, L2), (Point2(1, 0), Point2(0, 1)),
+                               (2.0 / 3.0, -1.0 / 3.0))
+        assert spec.secants == (LineImplicit(-1, -1, 1),)
+        assert spec.value(Point2(0, 0)) == pytest.approx(1.0 / 3.0)
         # identical to the expanded blend everywhere
-        conic = liming_conic(LimingSpec(L1, L2, secant, 1.0 / 3.0))
+        conic = liming_conic(LimingSpec(L1, L2, spec.secants[0], 1.0 / 3.0))
         rng = np.random.default_rng(43)
         for _ in range(100):
             p = Point2(*rng.uniform(-2, 2, 2))
-            assert abs(ipatch_eval(spec, p) - conic_eval(conic, p)) < 1e-12
+            assert abs(spec.value(p) - conic_eval(conic, p)) < 1e-12
 
     def test_one_sided_degeneration_random_parameters(self):
         rng = np.random.default_rng(44)
         for _ in range(30):
-            phi = rng.uniform(0, 2 * math.pi, 3)
+            phi = rng.uniform(0, 2 * math.pi, 2)
             lines = [LineImplicit(math.cos(a), math.sin(a), rng.uniform(-1, 1))
                      for a in phi]
+            points = [foot(line, *rng.uniform(-1, 1, 2)) for line in lines]
             lam = rng.uniform(0.05, 0.95)
-            spec = IPatchSpec(ribbons=((lines[0], lines[1]),),
-                              boundings=(lines[2],),
-                              weights=(1.0 - lam,), w0=-lam)
-            conic = liming_conic(LimingSpec(lines[0], lines[1], lines[2], lam))
+            spec = TangentPairSpec(lines, points, (1.0 - lam, -lam))
+            conic = liming_conic(LimingSpec(*lines, spec.secants[0], lam))
             for _ in range(20):
                 p = Point2(*rng.uniform(-2, 2, 2))
-                assert abs(ipatch_eval(spec, p) - conic_eval(conic, p)) < 1e-12
+                assert abs(spec.value(p) - conic_eval(conic, p)) < 1e-12
 
     def test_circle_patch_values_at_origin(self):
         assert circle_patch(RAW).value(Point2(0, 0)) == pytest.approx(2.0)

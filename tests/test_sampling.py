@@ -29,7 +29,7 @@ from implicurve import (
 from implicurve.errors import FieldEvaluationError
 from implicurve.ipatch import FORMS
 
-from conftest import Ellipse, coords, forms, ipatches, lines, weights
+from conftest import Ellipse, coords, forms, lines, pair_specs, weights
 
 
 @st.composite
@@ -66,14 +66,7 @@ def blend_or_none(l1, l2, c, lam):
 
 two_tangent_blends = st.builds(blend_or_none, lines, lines, lines,
                                st.floats(0.01, 0.99)).filter(lambda s: s is not None)
-fields = st.one_of(lines, conics(), ipatches(), four_tangent_patches(), two_tangent_blends)
-
-
-class PointwiseOnly:
-    """A field without ``values``, so sample_grid takes its point-by-point loop."""
-
-    def __init__(self, field):
-        self.value = field.value
+fields = st.one_of(lines, conics(), pair_specs(), four_tangent_patches(), two_tangent_blends)
 
 
 def pointwise(field, b: Bounds, n: int) -> np.ndarray:
@@ -95,7 +88,6 @@ def pointwise(field, b: Bounds, n: int) -> np.ndarray:
 def assert_same_lattice(field, b: Bounds, n: int) -> None:
     want = pointwise(field, b, n).tobytes()
     assert sample_grid(field, b, n).values.tobytes() == want
-    assert sample_grid(PointwiseOnly(field), b, n).values.tobytes() == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -135,6 +135,13 @@ class TestParseErrors:
         with pytest.raises(SceneSyntaxError):
             parse_scene("lambda 1/0\n")
 
+    def test_rational_beyond_float_range(self):
+        huge = "1" + "0" * 400 + "/1"
+        with pytest.raises(SceneSyntaxError) as err:
+            parse_scene(f"line l1 -1 0 {huge}\n")
+        assert (err.value.line, err.value.column) == (1, 14)
+        assert str(err.value) == f"line 1, col 14: bad number {huge!r}"
+
     def test_wrong_argument_count(self):
         with pytest.raises(SceneSyntaxError):
             parse_scene("point p 1\n")

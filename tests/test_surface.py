@@ -1,0 +1,31 @@
+"""The package namespace: what it exports, and what the README shows."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import implicurve
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in implicurve.__all__ if not hasattr(implicurve, name)]
+    assert missing == []
+    assert len(set(implicurve.__all__)) == len(implicurve.__all__)
+
+
+def test_readme_entry_points_import():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert "from implicurve import" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("name", ["IPatchSpec", "ipatch_eval", "ipatch_gradient",
+                                  "match_scale"])
+def test_removed_names_are_gone(name):
+    assert not hasattr(implicurve, name)
+    assert name not in implicurve.__all__
