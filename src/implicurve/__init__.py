@@ -28,12 +28,8 @@ from .geom import (
     GradientVec,
     LineImplicit,
     Point2,
-    conic_eval,
     conic_gradient,
-    conic_tangent_line_at,
     equal_up_to_scale,
-    intersect_lines,
-    line_product,
     line_through,
     orient_toward,
     secant_line,
@@ -65,8 +61,7 @@ __all__ = [
     "errors",
     "Point2", "GradientVec", "LineImplicit", "ConicCoeffs",
     "line_through", "secant_line", "orient_toward",
-    "intersect_lines", "line_product", "conic_eval", "conic_gradient",
-    "conic_tangent_line_at", "equal_up_to_scale",
+    "conic_gradient", "equal_up_to_scale",
     "LimingSpec", "LambdaOmega", "liming_conic", "recover_lambda",
     "RAW", "NORMALIZED", "FAITHFUL",
     "TangentPairSpec", "WeightTriple", "four_tangent_patch",

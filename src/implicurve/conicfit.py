@@ -28,7 +28,6 @@ from .geom import (
     ConicCoeffs,
     GradientVec,
     Point2,
-    conic_eval,
     conic_gradient,
     LineImplicit,
     _line_product_coeffs,
@@ -188,7 +187,7 @@ def fit_conic_two_tangents_one_point(t1: TangentConstraint, t2: TangentConstrain
 
     qscale = conic.max_abs()
     for p in pts:
-        if abs(conic_eval(conic, p)) > 1e-8 * qscale * max(1.0, spread * spread):
+        if abs(conic.value(p)) > 1e-8 * qscale * max(1.0, spread * spread):
             raise RankDeficient(f"fitted conic misses constraint point {p}")
     for t in (t1, t2):
         g = conic_gradient(conic, t.at)

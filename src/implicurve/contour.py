@@ -23,6 +23,9 @@ import numpy as np
 from .errors import FieldEvaluationError
 from .geom import GradientVec, LineImplicit, Point2
 
+BOUNDS_INFLATE = 1.5      # default bounds: point bbox grown by 50%
+BOUNDS_MIN_EXTENT = 1.0   # and no side shorter than this
+
 
 class FieldRef(Protocol):
     """Evaluation contract shared by every curve object in the package.
@@ -70,15 +73,15 @@ class Bounds:
         return Point2(0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
 
     @classmethod
-    def around_points(cls, points, inflate: float = 1.5,
-                      min_extent: float = 1.0) -> Bounds:
-        """Bounding box of the points, inflated about its center."""
+    def around_points(cls, points) -> Bounds:
+        """Bounding box of the points, inflated about its center by
+        BOUNDS_INFLATE, each side at least BOUNDS_MIN_EXTENT long."""
         xs = [p.x for p in points]
         ys = [p.y for p in points]
         cx = 0.5 * (min(xs) + max(xs))
         cy = 0.5 * (min(ys) + max(ys))
-        hx = max(0.5 * (max(xs) - min(xs)) * inflate, 0.5 * min_extent)
-        hy = max(0.5 * (max(ys) - min(ys)) * inflate, 0.5 * min_extent)
+        hx = max(0.5 * (max(xs) - min(xs)) * BOUNDS_INFLATE, 0.5 * BOUNDS_MIN_EXTENT)
+        hy = max(0.5 * (max(ys) - min(ys)) * BOUNDS_INFLATE, 0.5 * BOUNDS_MIN_EXTENT)
         return cls(cx - hx, cy - hy, cx + hx, cy + hy)
 
 

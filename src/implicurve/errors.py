@@ -25,24 +25,6 @@ class ReferenceOnLine(CurveError):
     code = "ReferenceOnLine"
 
 
-class ParallelLines(CurveError):
-    """Lines do not intersect in a single point."""
-
-    code = "ParallelLines"
-
-
-class PointNotOnConic(CurveError):
-    """Point is not on the conic's zero set."""
-
-    code = "PointNotOnConic"
-
-
-class SingularPoint(CurveError):
-    """The conic's gradient vanishes at the point."""
-
-    code = "SingularPoint"
-
-
 # two-tangent blend recovery
 
 class SampleNotOnConic(CurveError):

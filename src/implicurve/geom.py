@@ -14,14 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegeneratePoints,
-    ParallelLines,
-    PointNotOnConic,
-    ReferenceOnLine,
-    SingularPoint,
-    TangencyViolation,
-)
+from .errors import DegeneratePoints, ReferenceOnLine, TangencyViolation
 
 EPS_DEGENERATE = 1e-9   # coincident-point threshold
 EPS_SIGN = 1e-12        # "evaluates to zero" threshold for orientation
@@ -164,10 +157,8 @@ def line_through(p: Point2, q: Point2) -> LineImplicit:
     The result has a^2 + b^2 = 1 and the first nonzero of (a, b) positive,
     so repeated constructions are bit-for-bit reproducible.
 
-    Raises DegeneratePoints when the points coincide.
+    Raises DegeneratePoints when the points coincide, as secant_line does.
     """
-    if p.distance_to(q) <= EPS_DEGENERATE:
-        raise DegeneratePoints(f"points {p} and {q} coincide")
     return secant_line(p, q).normalized()
 
 
@@ -197,26 +188,11 @@ def orient_toward(line: LineImplicit, ref: Point2) -> LineImplicit:
     return line if v > 0.0 else line.flipped()
 
 
-def intersect_lines(l1: LineImplicit, l2: LineImplicit) -> Point2:
-    """Intersection point of two lines; raises ParallelLines if none."""
-    det = l1.a * l2.b - l2.a * l1.b
-    if abs(det) <= EPS_SIGN * l1.normal_norm() * l2.normal_norm():
-        raise ParallelLines("lines are parallel or coincident")
-    x = (-l1.c * l2.b + l2.c * l1.b) / det
-    y = (-l1.a * l2.c + l2.a * l1.c) / det
-    return Point2(x, y)
-
-
-def line_product(l1: LineImplicit, l2: LineImplicit) -> ConicCoeffs:
-    """Expand the product of two linear fields into conic coefficients."""
-    return ConicCoeffs(*_line_product_coeffs(l1, l2))
-
-
 def _line_product_coeffs(l1: LineImplicit, l2: LineImplicit) -> tuple[float, ...]:
-    """The six coefficients of :func:`line_product`, unvalidated.
+    """The six conic coefficients of the product of two linear fields.
 
-    For intermediate products that are only combined further, so no
-    ConicCoeffs is built and checked for each.
+    Unvalidated: for intermediate products that are only combined further,
+    so no ConicCoeffs is built and checked for each.
     """
     return _linear_product(l1.a, l1.b, l1.c, l2.a, l2.b, l2.c)
 
@@ -240,35 +216,12 @@ def check_tangency_points(lines, points) -> None:
             raise TangencyViolation(f"point {pt} is not on its tangent line")
 
 
-def conic_eval(q: ConicCoeffs, p: Point2) -> float:
-    """Evaluate the quadratic field at a point."""
-    return q.values(p.x, p.y)
-
-
 def conic_gradient(q: ConicCoeffs, p: Point2) -> GradientVec:
     """Gradient (2a*x + b*y + d, 2c*y + b*x + e) of the quadratic field."""
     return GradientVec(
         2.0 * q.a * p.x + q.b * p.y + q.d,
         2.0 * q.c * p.y + q.b * p.x + q.e,
     )
-
-
-def conic_tangent_line_at(q: ConicCoeffs, p: Point2) -> LineImplicit:
-    """Tangent line of the conic at a point of its zero set.
-
-    The returned line is canonically normalized; its normal (a, b) is
-    parallel to the conic's gradient at p.
-
-    Raises PointNotOnConic if p is off the curve (within EPS_ON_CURVE at
-    unit scale) and SingularPoint if the gradient vanishes there.
-    """
-    if abs(conic_eval(q, p)) > EPS_ON_CURVE * max(1.0, q.max_abs()):
-        raise PointNotOnConic(f"point {p} is not on the conic")
-    g = conic_gradient(q, p)
-    if g.norm() <= EPS_SIGN:
-        raise SingularPoint(f"conic gradient vanishes at {p}")
-    line = LineImplicit(g.gx, g.gy, -(g.gx * p.x + g.gy * p.y))
-    return line.normalized()
 
 
 def equal_up_to_scale(q1: ConicCoeffs, q2: ConicCoeffs, rtol: float = 1e-9) -> bool:

@@ -45,7 +45,6 @@ from .geom import (
     LineImplicit,
     Point2,
     check_tangency_points,
-    conic_eval,
     conic_gradient,
     secant_line,
 )
@@ -462,9 +461,12 @@ def reproduce_conic_weights(q: ConicCoeffs, lines: Sequence[LineImplicit],
     _pair_count(lines, points)
     qscale = max(1.0, q.max_abs())
     for line, pt in zip(lines, points):
-        if abs(conic_eval(q, pt)) > 1e-7 * qscale:
+        if abs(q.value(pt)) > 1e-7 * qscale:
             raise NotTangent(f"point {pt} is not on the conic")
-        g = conic_gradient(q, pt)
+        try:
+            g = conic_gradient(q, pt)
+        except ValueError as exc:
+            raise RecoveryFailed(f"conic gradient at {pt} overflows a float") from exc
         cross = abs(g.gx * line.b - g.gy * line.a)
         if cross > 1e-7 * g.norm() * line.normal_norm():
             raise NotTangent(f"line is not tangent to the conic at {pt}")

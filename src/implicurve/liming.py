@@ -29,7 +29,6 @@ from .geom import (
     GradientVec,
     LineImplicit,
     Point2,
-    conic_eval,
     conic_gradient,
     _line_product_coeffs,
     _linear_product,
@@ -115,7 +114,7 @@ def recover_lambda(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
     if sample is None:
         return _verified(q, l1, l2, c, _pencil_lambda(q, l1, l2, c))
     qscale = max(1.0, q.max_abs())
-    if abs(conic_eval(q, sample)) > EPS_ON_CURVE * qscale:
+    if abs(q.value(sample)) > EPS_ON_CURVE * qscale:
         raise SampleNotOnConic(f"sample {sample} is not on the conic")
     v1 = l1.value(sample)
     v2 = l2.value(sample)

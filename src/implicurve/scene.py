@@ -18,7 +18,8 @@ to float once, at parse time.  The mode is inferred from the directive set:
 1 secant), ``weights`` the construction from k tangent pairs (exactly 2k
 tangencies; 0 or k secants, derived from the pairing when omitted), whose
 mode label is ``four-tangent`` for every k.  Tangencies pair up in
-declaration order unless ``pair`` names them in another.
+declaration order unless ``pair`` names them in another.  In either mode a
+declared secant joins the two tangency points of a pair.
 """
 
 from __future__ import annotations
@@ -261,8 +262,7 @@ def _validate(doc: SceneDoc) -> None:
                     raise ModeConflict(f"pair references unbound line {name!r}")
             if len(doc.pairing) != 2 * k or len(set(doc.pairing)) != 2 * k:
                 raise ModeConflict(f"pair must name the {2 * k} tangent lines once each")
-        if doc.secants:
-            _check_secants_match_chords(doc)
+    _check_secants_match_chords(doc)
 
 
 def _ordered_tangents(doc: SceneDoc) -> list[tuple[str, str]]:

@@ -1,5 +1,5 @@
-"""Shared test helpers: finite differences, random conic factories and
-hypothesis strategies for lines and tangent-pair specs."""
+"""Shared test helpers: finite differences, line and conic arithmetic, random
+conic factories and hypothesis strategies for lines and tangent-pair specs."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from implicurve import (
     LineImplicit,
     Point2,
     TangentPairSpec,
-    conic_tangent_line_at,
 )
 from implicurve.errors import CurveError
 from implicurve.ipatch import FORMS
@@ -31,6 +30,28 @@ def foot(line: LineImplicit, x: float, y: float) -> Point2:
     """The point of the line nearest (x, y)."""
     t = line.values(x, y) / (line.a * line.a + line.b * line.b)
     return Point2(x - t * line.a, y - t * line.b)
+
+
+def crossing(l1: LineImplicit, l2: LineImplicit) -> Point2 | None:
+    """The point where two lines cross (Cramer's rule), or None for lines
+    parallel to a relative 1e-12."""
+    det = l1.a * l2.b - l2.a * l1.b
+    if abs(det) <= 1e-12 * l1.normal_norm() * l2.normal_norm():
+        return None
+    return Point2((-l1.c * l2.b + l2.c * l1.b) / det, (-l1.a * l2.c + l2.a * l1.c) / det)
+
+
+def line_product(l1: LineImplicit, l2: LineImplicit) -> ConicCoeffs:
+    """The conic L1 * L2, expanded."""
+    return ConicCoeffs(l1.a * l2.a, l1.a * l2.b + l2.a * l1.b, l1.b * l2.b,
+                       l1.a * l2.c + l2.a * l1.c, l1.b * l2.c + l2.b * l1.c, l1.c * l2.c)
+
+
+def conic_tangent(q: ConicCoeffs, p: Point2) -> LineImplicit:
+    """Tangent line of the conic at a point of it: normal along the gradient,
+    canonically normalized."""
+    g = q.gradient(p)
+    return LineImplicit(g.gx, g.gy, -(g.gx * p.x + g.gy * p.y)).normalized()
 
 
 @st.composite
@@ -90,7 +111,7 @@ class Ellipse:
         )
 
     def tangent_at(self, t: float):
-        return conic_tangent_line_at(self.conic, self.point_at(t))
+        return conic_tangent(self.conic, self.point_at(t))
 
 
 def random_ellipse(rng: np.random.Generator) -> Ellipse:

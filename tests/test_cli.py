@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import implicurve
-from implicurve import intersect_lines, parse_scene, build_scene_field
+from implicurve import parse_scene, build_scene_field
 from implicurve.cli import main
+
+from conftest import crossing
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 CIRCLE = str(SCENES / "circle.scene")
@@ -135,7 +137,7 @@ class TestEval:
         scene_path = tmp_path / "crossing.scene"
         scene_path.write_text(crossing_scene_text())
         scene = build_scene_field(parse_scene(crossing_scene_text()))
-        pole = intersect_lines(scene.secant_lines[0], scene.secant_lines[1])
+        pole = crossing(scene.secant_lines[0], scene.secant_lines[1])
         code = main(["eval", str(scene_path), "--at", f"{pole.x!r},{pole.y!r}"])
         assert code == 1
         err = capsys.readouterr().err

@@ -13,7 +13,6 @@ from implicurve import (
     Point2,
     TangentConstraint,
     build_constraint_system,
-    conic_eval,
     conic_gradient,
     equal_up_to_scale,
     fit_conic_two_tangents_one_point,
@@ -169,7 +168,7 @@ class TestFitConic:
         t2 = TangentConstraint(Point2(-1, 0), GradientVec(-1, 0))
         conic = fit_conic_two_tangents_one_point(t1, t2, Point2(0, 1))
         for p in (t1.at, t2.at, Point2(0, 1)):
-            assert abs(conic_eval(conic, p)) < 1e-10
+            assert abs(conic.value(p)) < 1e-10
         for t in (t1, t2):
             g = conic_gradient(conic, t.at)
             assert abs(g.gx * t.grad.gy - g.gy * t.grad.gx) < 1e-10
@@ -243,7 +242,7 @@ class TestFitConic:
         t2 = TangentConstraint(Point2(dx, 1 + dy), GradientVec(0, 1))
         conic = fit_conic_two_tangents_one_point(t1, t2, Point2(dx - 1, dy))
         for p in (t1.at, t2.at, Point2(dx - 1, dy)):
-            assert abs(conic_eval(conic, p)) < 1e-7
+            assert abs(conic.value(p)) < 1e-7
 
     def test_coefficients_are_python_floats(self):
         # numpy scalars and ints in, floats out, so that later evaluations

@@ -11,12 +11,13 @@ from implicurve import (
     Point2,
     WeightTriple,
     four_tangent_patch,
-    intersect_lines,
     sample_grid,
     trace_contours,
     verify_tangency,
 )
 from implicurve.ipatch import NORMALIZED, RAW
+
+from conftest import crossing
 
 CIRCLE_FIELD = ConicCoeffs(1, 0, 1, 0, 0, -1)  # x^2 + y^2 - 1
 
@@ -59,7 +60,7 @@ class TestSampleGrid:
 
     def test_pole_becomes_nan_neighbors_survive(self):
         spec = crossing_secant_patch(NORMALIZED)
-        pole = intersect_lines(spec.c1, spec.c2)
+        pole = crossing(spec.c1, spec.c2)
         bounds = Bounds(pole.x - 1, pole.y - 1, pole.x + 1, pole.y + 1)
         grid = sample_grid(spec, bounds, 4)  # pole is the center lattice point
         assert math.isnan(grid.values[2, 2])
@@ -225,7 +226,7 @@ class TestVerifyTangency:
 
     def test_evaluation_failure_yields_failed_report(self):
         spec = crossing_secant_patch(NORMALIZED)
-        pole = intersect_lines(spec.c1, spec.c2)
+        pole = crossing(spec.c1, spec.c2)
         report = verify_tangency(spec, pole, LineImplicit(1, 0, -1))
         assert not report.passed and report.indeterminate
 

@@ -16,10 +16,8 @@ from implicurve import (
     Point2,
     TangentPairSpec,
     WeightTriple,
-    conic_eval,
     expand_to_polynomial,
     four_tangent_patch,
-    intersect_lines,
     liming_conic,
     reproduce_conic_weights,
 )
@@ -36,6 +34,7 @@ from implicurve.poly import BivariatePoly
 from conftest import (
     central_diff,
     coords,
+    crossing,
     ellipse_tangents,
     foot,
     random_ellipse,
@@ -99,7 +98,7 @@ class TestIPatchEval:
         rng = np.random.default_rng(43)
         for _ in range(100):
             p = Point2(*rng.uniform(-2, 2, 2))
-            assert abs(spec.value(p) - conic_eval(conic, p)) < 1e-12
+            assert abs(spec.value(p) - conic.value(p)) < 1e-12
 
     def test_one_sided_degeneration_random_parameters(self):
         rng = np.random.default_rng(44)
@@ -113,16 +112,16 @@ class TestIPatchEval:
             conic = liming_conic(LimingSpec(*lines, spec.secants[0], lam))
             for _ in range(20):
                 p = Point2(*rng.uniform(-2, 2, 2))
-                assert abs(spec.value(p) - conic_eval(conic, p)) < 1e-12
+                assert abs(spec.value(p) - conic.value(p)) < 1e-12
 
     def test_circle_patch_values_at_origin(self):
         assert circle_patch(RAW).value(Point2(0, 0)) == pytest.approx(2.0)
         assert circle_patch(NORMALIZED).value(Point2(0, 0)) == pytest.approx(1.0)
-        assert conic_eval(CIRCLE, Point2(0, 0)) == 1.0
+        assert CIRCLE.value(Point2(0, 0)) == 1.0
 
     def test_zero_denominator_at_secant_intersection(self):
         spec = _crossing_secant_patch(NORMALIZED)
-        pole = intersect_lines(spec.c1, spec.c2)
+        pole = crossing(spec.c1, spec.c2)
         with pytest.raises(ZeroDenominator):
             spec.value(pole)
 
@@ -202,7 +201,7 @@ class TestFourTangentPatch:
             p = Point2(*rng.uniform(-2, 2, 2))
             if abs(spec.c1.value(p)) < 1e-3 or abs(spec.c2.value(p)) < 1e-3:
                 continue
-            assert abs(spec.value(p) - conic_eval(CIRCLE, p)) < 1e-9
+            assert abs(spec.value(p) - CIRCLE.value(p)) < 1e-9
             checked += 1
 
     def test_single_weight_field(self):
@@ -308,7 +307,7 @@ class TestReproduceConicWeights:
         # normalized patch then reproduces the scaled conic; zero set unchanged
         spec = four_tangent_patch(CIRCLE_LINES, CIRCLE_POINTS, ws, NORMALIZED)
         p = Point2(0.3, -0.4)
-        assert spec.value(p) == pytest.approx(5.0 * conic_eval(CIRCLE, p), rel=1e-9)
+        assert spec.value(p) == pytest.approx(5.0 * CIRCLE.value(p), rel=1e-9)
 
     def test_pair_swap_swaps_weights(self):
         w = reproduce_conic_weights(CIRCLE, CIRCLE_LINES, CIRCLE_POINTS)
@@ -346,6 +345,20 @@ class TestReproduceConicWeights:
         else:
             with pytest.raises(RecoveryFailed, match="overflows"):
                 reproduce_conic_weights(q, lines, points)
+
+    @pytest.mark.parametrize("scale, reproduces", [(1e307, True), (1.2e308, False),
+                                                   (1.5e308, False), (1.7e308, False)])
+    def test_conic_near_float_max_fails_closed(self, scale, reproduces):
+        # near the float maximum the conic's gradient at a tangency point,
+        # 2*a*x + ..., overflows in the tangency check
+        q = CIRCLE.scaled(scale)
+        if reproduces:
+            w = reproduce_conic_weights(q, CIRCLE_LINES, CIRCLE_POINTS)
+            assert w.as_tuple() == pytest.approx((2 * scale, 2 * scale, -2 * scale),
+                                                 rel=1e-12)
+        else:
+            with pytest.raises(RecoveryFailed, match="overflows a float"):
+                reproduce_conic_weights(q, CIRCLE_LINES, CIRCLE_POINTS)
 
     def test_reproduction_identity_random_conics(self):
         rng = np.random.default_rng(73)

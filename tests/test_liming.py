@@ -13,11 +13,8 @@ from implicurve import (
     LimingSpec,
     LineImplicit,
     Point2,
-    conic_eval,
     conic_gradient,
     equal_up_to_scale,
-    intersect_lines,
-    line_product,
     line_through,
     liming_conic,
     orient_toward,
@@ -30,7 +27,7 @@ from implicurve.errors import (
     SampleNotOnConic,
     SampleOnTangent,
 )
-from conftest import ellipse_tangents, random_ellipse, spaced_angles
+from conftest import crossing, ellipse_tangents, line_product, random_ellipse, spaced_angles
 
 L1 = LineImplicit(-1, 0, 1)   # 1 - x
 L2 = LineImplicit(0, -1, 1)   # 1 - y
@@ -62,7 +59,7 @@ class TestLimingConic:
         for _ in range(100):
             p = Point2(*rng.uniform(-2, 2, 2))
             direct = (2.0 / 3.0) * (1 - p.x) * (1 - p.y) - (1.0 / 3.0) * (1 - p.x - p.y) ** 2
-            assert abs(conic_eval(q, p) - direct) < 1e-12
+            assert abs(q.value(p) - direct) < 1e-12
 
     def test_small_lambda_approaches_line_pair(self):
         lam = 1e-12
@@ -374,8 +371,8 @@ class TestTangency:
             c = LineImplicit(math.cos(phi[2]), math.sin(phi[2]), rng.uniform(-1, 1))
             q = liming_conic(LimingSpec(l1, l2, c, rng.uniform(0.1, 0.9)))
             for line in (l1, l2):
-                touch = intersect_lines(line, c)
-                assert abs(conic_eval(q, touch)) < 1e-10
+                touch = crossing(line, c)
+                assert abs(q.value(touch)) < 1e-10
                 g = conic_gradient(q, touch)
                 assert abs(g.gx * line.b - g.gy * line.a) < 1e-9
 

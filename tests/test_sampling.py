@@ -22,14 +22,13 @@ from implicurve import (
     Point2,
     WeightTriple,
     four_tangent_patch,
-    intersect_lines,
     sample_grid,
     secant_line,
 )
 from implicurve.errors import FieldEvaluationError
 from implicurve.ipatch import FORMS
 
-from conftest import Ellipse, coords, forms, lines, pair_specs, weights
+from conftest import Ellipse, coords, crossing, forms, lines, pair_specs, weights
 
 
 @st.composite
@@ -106,7 +105,7 @@ def test_pole_lattice_matches_point_loop():
     for w in (WeightTriple(1.0, 1.0, 1.0), WeightTriple(1.0, -1.0, 1.0)):
         for form in FORMS:
             spec = four_tangent_patch(tangents, points, w, form)
-            pole = intersect_lines(spec.c1, spec.c2)
+            pole = crossing(spec.c1, spec.c2)
             for n in (4, 16):
                 b = Bounds(pole.x - 1, pole.y - 1, pole.x + 1, pole.y + 1)
                 assert_same_lattice(spec, b, n)
@@ -148,7 +147,7 @@ def test_lattice_matches_recorded_digest(case, form):
         points = [Point2(math.cos(t), math.sin(t)) for t in angles]
         tangents = [LineImplicit(math.cos(t), math.sin(t), -1.0) for t in angles]
         field = four_tangent_patch(tangents, points, WeightTriple(1.0, -1.0, 1.0), form)
-        pole = intersect_lines(field.c1, field.c2)
+        pole = crossing(field.c1, field.c2)
         b = Bounds(pole.x - 1, pole.y - 1, pole.x + 1, pole.y + 1)
         n = 16
     else:

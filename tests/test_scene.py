@@ -154,6 +154,13 @@ class TestParseErrors:
         with pytest.raises(ModeConflict):
             parse_scene(LIMING_SCENE + "pair l1 l2 | l1 l2\n")
 
+    def test_liming_secant_must_join_the_tangency_points(self):
+        with pytest.raises(ModeConflict):
+            parse_scene(LIMING_SCENE.replace("secant c p1 p2",
+                                             "point p3 -1 0\nsecant c p1 p3"))
+        # a chord is a set of points, so either order joins them
+        parse_scene(LIMING_SCENE.replace("secant c p1 p2", "secant c p2 p1"))
+
 
 class TestPairing:
     def test_pair_reorders_lines(self):

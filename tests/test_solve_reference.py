@@ -31,7 +31,6 @@ from implicurve import (
     expand_to_polynomial,
     fit_conic_two_tangents_one_point,
     four_tangent_patch,
-    intersect_lines,
     recover_lambda,
     reproduce_conic_weights,
     secant_line,
@@ -40,7 +39,7 @@ from implicurve.errors import CurveError, ZeroDenominator
 from implicurve.ipatch import EPS_DEN, FAITHFUL, FORMS, NORMALIZED, RAW
 from implicurve.poly import BivariatePoly
 
-from conftest import coords, foot, pair_specs, random_ellipse, spaced_angles
+from conftest import coords, crossing, foot, pair_specs, random_ellipse, spaced_angles
 
 EPS = np.finfo(float).eps
 
@@ -202,9 +201,8 @@ def patch_points(draw, pairs=st.integers(1, 3)):
     spec = draw(pair_specs(pairs))
     if len(spec.secants) > 1 and draw(st.booleans()):
         # where two secants cross, every prod_{j != i} C_j^2 vanishes
-        try:
-            p = intersect_lines(spec.secants[0], spec.secants[1])
-        except CurveError:
+        p = crossing(spec.secants[0], spec.secants[1])
+        if p is None:
             p = Point2(draw(coords), draw(coords))
     else:
         p = Point2(draw(coords), draw(coords))
@@ -363,7 +361,7 @@ def _solve_outputs(rng) -> list[str]:
     c1 = secant_line(points[0], points[1])
     c2 = secant_line(points[2], points[3])
     queries = [Point2(*rng.uniform(-2.0, 2.0, 2)) for _ in range(6)]
-    queries.append(intersect_lines(c1, c2))
+    queries.append(crossing(c1, c2))
     out = [
         attempt(reproduce_conic_weights, q, lines, points),
         attempt(reproduce_conic_weights, q.scaled(-2.5), lines[::-1], points[::-1]),
