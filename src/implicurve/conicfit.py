@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DegenerateInput, RankDeficient
 from .geom import (
     EPS_DEGENERATE,
@@ -53,6 +51,7 @@ class ConstraintSystem:
     """5 x 6 homogeneous system; columns ordered (a, b, c, d, e, f)."""
 
     def __init__(self, rows):
+        import numpy as np
         rows = np.asarray(rows, dtype=float)
         if rows.shape != (5, 6):
             raise ValueError(f"expected a 5 x 6 system, got shape {rows.shape}")
@@ -113,6 +112,7 @@ def null_space_1d(system: ConstraintSystem) -> ConicCoeffs:
     leaves the null space as it is and makes the rank test blind to the
     rows' scale (tangential rows scale with the prescribed gradient).
     """
+    import numpy as np
     norms = np.max(np.abs(system.rows), axis=1, keepdims=True)
     rows = system.rows / np.where(norms > 0.0, norms, 1.0)
     u, s, vh = np.linalg.svd(rows)

@@ -5,23 +5,26 @@ arrays and ``gradient(Point2) -> GradientVec`` is a field here (see
 :class:`FieldRef`); lines, conics, two-tangent blends and blends of k
 tangent pairs all qualify.  ``values`` samples the whole lattice in one
 call, and a lattice point holds NaN where the point value is non-finite or
-evaluation fails.  Sampled fields are contoured with marching squares: one
-crossing per sign-change edge, linear interpolation along the edge,
-ambiguous saddle cells resolved by the sign of a cell-center sample.
-Segments are chained into polylines through shared edge crossings, which are
-computed once per edge so chains match exactly.
+evaluation fails.  Only the lattice needs numpy: :class:`GridSampling` and
+:func:`sample_grid` import it when called, so point queries and
+:func:`verify_tangency` run without it.  Sampled fields are contoured with
+marching squares: one crossing per sign-change edge, linear interpolation
+along the edge, ambiguous saddle cells resolved by the sign of a
+cell-center sample.  Segments are chained into polylines through shared
+edge crossings, which are computed once per edge so chains match exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol
 
 from .errors import FieldEvaluationError
 from .geom import GradientVec, LineImplicit, Point2
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BOUNDS_INFLATE = 1.5      # default bounds: point bbox grown by 50%
 BOUNDS_MIN_EXTENT = 1.0   # and no side shorter than this
@@ -30,10 +33,12 @@ BOUNDS_MIN_EXTENT = 1.0   # and no side shorter than this
 class FieldRef(Protocol):
     """Evaluation contract shared by every curve object in the package.
 
+    ``value`` and ``gradient`` take a point and do Python float arithmetic.
     ``values(x, y)`` takes numpy arrays that broadcast together and gives
     ``value`` element by element, NaN where ``value`` would raise
     FieldEvaluationError; :func:`sample_grid` also turns any other
-    non-finite result into NaN.
+    non-finite result into NaN.  Only ``values`` meets numpy, and only when
+    a lattice is sampled.
     """
 
     def value(self, p: Point2) -> float: ...
@@ -98,6 +103,7 @@ class GridSampling:
                  field: FieldRef | None = None):
         if resolution < 2:
             raise ValueError("resolution must be at least 2 cells per axis")
+        import numpy as np
         values = np.asarray(values, dtype=float)
         expected = (resolution + 1, resolution + 1)
         if values.shape != expected:
@@ -149,6 +155,7 @@ def sample_grid(field: FieldRef, bounds: Bounds, resolution: int) -> GridSamplin
     if resolution > MAX_RESOLUTION:
         raise ValueError(
             f"resolution must be at most {MAX_RESOLUTION} cells per axis, got {resolution}")
+    import numpy as np
     xs = np.linspace(bounds.xmin, bounds.xmax, resolution + 1)
     ys = np.linspace(bounds.ymin, bounds.ymax, resolution + 1)
     # an (N+1) x 1 column of x and a 1 x (N+1) row of y, which the field's

@@ -25,9 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     CurveError,
@@ -50,6 +48,9 @@ from .geom import (
 )
 from .liming import recover_lambda
 from .poly import BivariatePoly, add_product, conic_terms, line_terms, poly_terms
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RAW = "raw"
 NORMALIZED = "normalized"
@@ -391,6 +392,7 @@ class TangentPairSpec:
         num, den = kernel(self, x, y)
         if den is None:
             return num
+        import numpy as np
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(np.abs(den) > EPS_DEN, num / den, np.nan)
 
@@ -408,6 +410,7 @@ def expand_to_polynomial(spec: TangentPairSpec) -> BivariatePoly:
     if spec.form != RAW:
         raise ValueError("only the raw form is a polynomial")
     raw, _, width = _expand(spec.lines, spec.secants, tuple(spec.weights))
+    import numpy as np
     return BivariatePoly(np.reshape(raw, (width, width)))
 
 

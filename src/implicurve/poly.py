@@ -5,15 +5,17 @@ chosen ``width``: the coefficient of x**i * y**j sits at index
 i * width + j, and as long as no y-degree reaches the width, the indices of
 a product's terms are the sums of its factors' indices.  Solvers multiply
 such lists directly; :class:`BivariatePoly` wraps a numpy matrix for
-evaluation and tests.
+evaluation and tests, and only its methods import numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from numpy.polynomial import polynomial as npoly
+from typing import TYPE_CHECKING
 
 from .geom import ConicCoeffs, LineImplicit
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def add_product(out: list[float], a: list[tuple[int, float]],
@@ -56,6 +58,7 @@ class BivariatePoly:
     """Polynomial in x and y; ``coeffs[i, j]`` multiplies x**i * y**j."""
 
     def __init__(self, coeffs):
+        import numpy as np
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 2:
             raise ValueError("coefficient matrix must be two-dimensional")
@@ -70,6 +73,7 @@ class BivariatePoly:
         return cls([[q.f, q.e, q.c], [q.d, q.b, 0.0], [q.a, 0.0, 0.0]])
 
     def padded(self, shape: tuple[int, int]) -> np.ndarray:
+        import numpy as np
         out = np.zeros(shape)
         n, m = self.coeffs.shape
         out[:n, :m] = self.coeffs
@@ -86,6 +90,7 @@ class BivariatePoly:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return BivariatePoly(self.coeffs * float(other))
+        import numpy as np
         (n1, m1), (n2, m2) = self.coeffs.shape, other.coeffs.shape
         width = m1 + m2 - 1
         flat = [0.0] * ((n1 + n2 - 1) * width)
@@ -98,10 +103,11 @@ class BivariatePoly:
         return self * self
 
     def __call__(self, x, y):
+        from numpy.polynomial import polynomial as npoly
         return npoly.polyval2d(x, y, self.coeffs)
 
     def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
+        return float(abs(self.coeffs).max())
 
     def __repr__(self):
         return f"BivariatePoly(shape={self.coeffs.shape}, max={self.max_abs():.3g})"

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .contour import Bounds, FieldRef
 from .errors import (
@@ -81,6 +80,7 @@ def parse_real(token: str) -> float:
     """
     if "/" not in token:
         return float(token)
+    from fractions import Fraction
     try:
         return float(Fraction(token))
     except ZeroDivisionError as exc:

@@ -149,6 +149,8 @@ def ellipse_tangents(draw, max_pairs):
     gaps = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * k, max_size=2 * k))
     free = 2.0 * math.pi - 0.3 * 2 * k
     start = draw(st.floats(0.0, 2.0 * math.pi))
-    ts = start + np.cumsum([0.3 + free * g / (sum(gaps) or 1.0) for g in gaps])
+    # g / sum first: free * g can round up among subnormals (free * 5e-324
+    # is 6 * 5e-324), which put two points of [0.0, 5e-324] 0.017 rad apart
+    ts = start + np.cumsum([0.3 + free * (g / (sum(gaps) or 1.0)) for g in gaps])
     ts = [ts[i] for i in draw(st.permutations(range(2 * k)))]
     return ell, [ell.tangent_at(t) for t in ts], [ell.point_at(t) for t in ts]

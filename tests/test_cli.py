@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import re
@@ -290,16 +291,61 @@ class TestFit:
         assert capsys.readouterr().err.startswith("error[RankDeficient]:")
 
 
+def _child_env():
+    """The environment of a child process that imports the package from
+    where this one did."""
+    src = str(Path(implicurve.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
-        # the child process imports the package from where this one did
-        src = str(Path(implicurve.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
         out = tmp_path / "cli.svg"
         proc = subprocess.run(
             [sys.executable, "-m", "implicurve.cli", "render", CIRCLE,
              "--grid", "32", "--out", str(out)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert out.exists()
+
+
+POINT_COMMANDS = [
+    ["eval", CIRCLE, "--at=0.5,0.25"],
+    ["eval", LIMING, "--at=0.5,0.25"],
+    ["verify", CIRCLE],
+    ["reproduce", CIRCLE, "--conic=1,0,1,0,0,-1"],
+    ["fit", "--tangent=1,0,1,0", "--tangent=0,1,0,1", "--point=-1,0"],
+]
+
+# runs in a fresh interpreter; the last stdout line records whether numpy
+# was loaded after the import, after the point commands and after a render
+_IMPORT_GATE = """
+import json, sys
+import implicurve
+from implicurve.cli import main
+loaded = ["numpy" in sys.modules]
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded.append("numpy" in sys.modules)
+codes.append(main(["render", sys.argv[2], "--grid", "32", "--out", sys.argv[3]]))
+loaded.append("numpy" in sys.modules)
+print(json.dumps({"codes": codes, "numpy_loaded": loaded}))
+"""
+
+
+class TestNumpyOnDemand:
+    def test_point_commands_run_without_numpy(self, tmp_path, capsys):
+        out = tmp_path / "child.svg"
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_GATE, json.dumps(POINT_COMMANDS), CIRCLE,
+             str(out)], capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        *printed, last = proc.stdout.splitlines()
+        assert json.loads(last) == {"codes": [0] * 6, "numpy_loaded": [False, False, True]}
+        # the same output as in this process, where numpy is loaded
+        ref = tmp_path / "ref.svg"
+        for argv in POINT_COMMANDS + [["render", CIRCLE, "--grid", "32", "--out", str(ref)]]:
+            assert main(argv) == 0
+        want = capsys.readouterr().out.replace(str(ref), str(out))
+        assert printed == want.splitlines()
+        assert out.read_bytes() == ref.read_bytes()

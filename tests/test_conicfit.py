@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from implicurve import (
@@ -296,29 +296,76 @@ def fit_inputs(draw):
     return family, TangentConstraint(p1, g1), TangentConstraint(p2, g2), p3
 
 
-def _linear_fit(t1, t2, p3):
-    """null_space_1d of the constraint system on the points mapped to their
-    unit box, as a conic of the original coordinates."""
+def _unit_box(t1, t2, p3):
+    """Centroid and spread of the three points, the spread taken as 1.0
+    when it is below 1e-9."""
     pts = (t1.at, t2.at, p3)
     mx = sum(p.x for p in pts) / 3.0
     my = sum(p.y for p in pts) / 3.0
     spread = max(max(abs(p.x - mx), abs(p.y - my)) for p in pts)
-    sigma = spread if spread > 1e-9 else 1.0
+    return mx, my, spread if spread > 1e-9 else 1.0
+
+
+def _linear_fit(t1, t2, p3):
+    """null_space_1d of the constraint system on the points mapped to their
+    unit box, as a conic of the unit-box coordinates."""
+    mx, my, sigma = _unit_box(t1, t2, p3)
 
     def unit(p):
         return Point2((p.x - mx) / sigma, (p.y - my) / sigma)
 
-    q = null_space_1d(build_constraint_system(
+    return null_space_1d(build_constraint_system(
         TangentConstraint(unit(t1.at), t1.grad), TangentConstraint(unit(t2.at), t2.grad),
         unit(p3)))
-    # q((x - mx)/s, (y - my)/s) * s^2, expanded in rationals and rounded once
-    a, b, c, d, e, f = map(Fraction, q.coeffs())
+
+
+def _det(m):
+    """Determinant of a square matrix of Fractions, by elimination."""
+    m = [row[:] for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        r = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            k = m[r][c] / m[c][c]
+            m[r] = [u - k * v for u, v in zip(m[r], m[c])]
+    return det
+
+
+def _exact_fit(t1, t2, p3):
+    """The null vector of the constraint system on the float inputs, in
+    exact rationals: component j is (-1)^j times the minor without column j."""
+    def interpolation(p):
+        x, y = Fraction(p.x), Fraction(p.y)
+        return [x * x, x * y, y * y, x, y, Fraction(1)]
+
+    def tangential(t):
+        x, y = Fraction(t.at.x), Fraction(t.at.y)
+        m, n = Fraction(t.grad.gx), Fraction(t.grad.gy)
+        return [-2 * n * x, m * x - n * y, 2 * m * y, -n, m, Fraction(0)]
+
+    rows = [interpolation(t1.at), interpolation(t2.at), interpolation(p3),
+            tangential(t1), tangential(t2)]
+    return [(-1) ** j * _det([row[:j] + row[j + 1:] for row in rows]) for j in range(6)]
+
+
+def _in_unit_box(q, mx, my, sigma):
+    """The rational conic q(mx + s*u, my + s*v) / s^2 in (u, v)."""
+    a, b, c, d, e, f = q
     mx, my, s = Fraction(mx), Fraction(my), Fraction(sigma)
-    return ConicCoeffs(*map(float, (
-        a, b, c,
-        d * s - 2 * a * mx - b * my,
-        e * s - 2 * c * my - b * mx,
-        a * mx * mx + b * mx * my + c * my * my - (d * mx + e * my) * s + f * s * s)))
+    return [a, b, c, (2 * a * mx + b * my + d) / s, (2 * c * my + b * mx + e) / s,
+            (a * mx * mx + b * mx * my + c * my * my + d * mx + e * my + f) / (s * s)]
+
+
+def _rounded(v):
+    """A rational conic scaled to unit max-abs and rounded once."""
+    k = max(map(abs, v))
+    return ConicCoeffs(*(float(x / k) for x in v))
 
 
 def _outcome(fit, *args):
@@ -330,6 +377,13 @@ def _outcome(fit, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(fit_inputs())
+# an offset of 11,475 against a spread near 1: with the unit-box fit mapped
+# back to the original coordinates, the two fits differ up to scale by 1.0008e-9
+@example(("p3-on-tangent",
+          TangentConstraint(Point2(1.0, 11475.0), GradientVec(1.0, -1.133107779529596e-15)),
+          TangentConstraint(Point2(-0.9980108223549503, 11475.063042830381),
+                            GradientVec(0.9980108223549503, -0.06304283038058951)),
+          Point2(1.0000000000000004, 11475.30078125)))
 def test_pencil_fit_matches_linear_formulation(inputs):
     family, t1, t2, p3 = inputs
     got = _outcome(fit_conic_two_tangents_one_point, t1, t2, p3)
@@ -340,4 +394,10 @@ def test_pencil_fit_matches_linear_formulation(inputs):
         assert got == want == "DegenerateInput"
     else:
         assert isinstance(got, ConicCoeffs) and isinstance(want, ConicCoeffs)
-        assert equal_up_to_scale(got, want, rtol=1e-9)
+        # each fit against the exact conic in the frame it was computed in:
+        # mapping a float conic from one frame to the other magnifies its
+        # rounding with the offset over the spread
+        exact = _exact_fit(t1, t2, p3)
+        assert equal_up_to_scale(got, _rounded(exact), rtol=1e-9)
+        assert equal_up_to_scale(
+            want, _rounded(_in_unit_box(exact, *_unit_box(t1, t2, p3))), rtol=1e-9)
