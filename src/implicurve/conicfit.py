@@ -19,6 +19,8 @@ homogeneous system whose null space, at rank 5, is the conic up to scale.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateInput, RankDeficient
 from .geom import (
@@ -28,9 +30,11 @@ from .geom import (
     Point2,
     conic_gradient,
     LineImplicit,
-    _line_product_coeffs,
 )
-from dataclasses import dataclass
+from .liming import pencil_member
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EPS_RANK = 1e-10
 
@@ -47,17 +51,23 @@ class TangentConstraint:
             raise ValueError("prescribed gradient must be nonzero")
 
 
+@dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """5 x 6 homogeneous system; columns ordered (a, b, c, d, e, f)."""
+    """5 x 6 homogeneous system; columns ordered (a, b, c, d, e, f).  ``rows``
+    is a read-only view, not a copy: the caller's array stays writable."""
 
-    def __init__(self, rows):
+    rows: np.ndarray
+
+    def __post_init__(self):
         import numpy as np
-        rows = np.asarray(rows, dtype=float)
+        rows = np.asarray(self.rows, dtype=float)
         if rows.shape != (5, 6):
             raise ValueError(f"expected a 5 x 6 system, got shape {rows.shape}")
         if not np.all(np.isfinite(rows)):
             raise ValueError("system rows must be finite")
-        self.rows = rows
+        rows = rows.view()
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
 
 def interpolation_row(p: Point2) -> tuple[float, ...]:
@@ -176,10 +186,7 @@ def fit_conic_two_tangents_one_point(t1: TangentConstraint, t2: TangentConstrain
         raise RankDeficient(f"{p3} is a base point of the tangent/secant pencil")
     prod /= k
     csq /= k
-    q12 = _line_product_coeffs(l1, l2)
-    qcc = _line_product_coeffs(c, c)
-    member = [csq * u - prod * v for u, v in zip(q12, qcc)]
-    scale = max(csq * max(map(abs, q12)), abs(prod) * max(map(abs, qcc)))
+    member, scale = pencil_member(l1, l2, c, csq, prod)
     if not max(map(abs, member)) > EPS_RANK * scale:
         raise RankDeficient("the tangent/secant pencil collapses: both tangents "
                             "are the chord, or the fit overflows")

@@ -90,28 +90,33 @@ class Bounds:
         return cls(cx - hx, cy - hy, cx + hx, cy + hy)
 
 
+@dataclass(frozen=True, eq=False)
 class GridSampling:
     """Field values on an (N+1) x (N+1) lattice over a bounding rectangle.
 
     ``values[i, j]`` is the sample at x-index i, y-index j.  Lattice points
     where evaluation failed hold NaN; cells touching them are skipped when
     contouring.  The sampled field is kept (when known) so saddle cells can be
-    disambiguated by a true center sample.
+    disambiguated by a true center sample.  ``values`` is held as a
+    read-only view, not a copy: the caller's array stays writable.
     """
 
-    def __init__(self, bounds: Bounds, resolution: int, values,
-                 field: FieldRef | None = None):
-        if resolution < 2:
+    bounds: Bounds
+    resolution: int
+    values: np.ndarray
+    field: FieldRef | None = None
+
+    def __post_init__(self):
+        if self.resolution < 2:
             raise ValueError("resolution must be at least 2 cells per axis")
         import numpy as np
-        values = np.asarray(values, dtype=float)
-        expected = (resolution + 1, resolution + 1)
+        values = np.asarray(self.values, dtype=float)
+        expected = (self.resolution + 1, self.resolution + 1)
         if values.shape != expected:
             raise ValueError(f"expected values of shape {expected}, got {values.shape}")
-        self.bounds = bounds
-        self.resolution = resolution
-        self.values = values
-        self.field = field
+        values = values.view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def step_x(self) -> float:

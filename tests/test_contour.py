@@ -73,6 +73,18 @@ class TestSampleGrid:
         with pytest.raises(ValueError):
             sample_grid(CIRCLE_FIELD, Bounds(-1, -1, 1, 1), 1)
 
+    def test_grid_is_immutable(self):
+        values = np.zeros((3, 3))
+        grid = GridSampling(Bounds(0, 0, 2, 2), 2, values)
+        with pytest.raises(ValueError):
+            grid.values[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            grid.resolution = 4
+        with pytest.raises(ValueError):
+            sample_grid(CIRCLE_FIELD, Bounds(-1, -1, 1, 1), 4).values[0, 0] = 1.0
+        values[0, 0] = 1.0
+        assert grid.values[0, 0] == 1.0  # a view, not a copy
+
     def test_resolution_ceiling_checked_before_allocation(self):
         # 10**9 cells per axis would need 8e18 bytes; the bound must refuse
         # it by its own message, not numpy's "array is too big"

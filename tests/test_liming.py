@@ -27,12 +27,24 @@ from implicurve.errors import (
     SampleNotOnConic,
     SampleOnTangent,
 )
-from conftest import crossing, ellipse_tangents, line_product, random_ellipse, spaced_angles
+from conftest import (Ellipse, crossing, ellipse_tangents, line_product, random_ellipse,
+                      spaced_angles)
 
 L1 = LineImplicit(-1, 0, 1)   # 1 - x
 L2 = LineImplicit(0, -1, 1)   # 1 - y
 C = LineImplicit(-1, -1, 1)   # 1 - x - y
 CIRCLE = ConicCoeffs(-1, 0, -1, 0, 0, 1)  # 1 - x^2 - y^2
+
+
+UNIT_CIRCLE = Ellipse(0.0, 0.0, 1.0, 1.0, 0.0)
+UNIT = UNIT_CIRCLE.conic
+POSITIONS = [2.0 * math.pi * k / 200 for k in range(200)]
+
+
+def _pair(t0, gap):
+    """Unit-circle tangents at t0 and t0 + gap, and their secant."""
+    p1, p2 = UNIT_CIRCLE.point_at(t0), UNIT_CIRCLE.point_at(t0 + gap)
+    return UNIT_CIRCLE.tangent_at(t0), UNIT_CIRCLE.tangent_at(t0 + gap), secant_line(p1, p2)
 
 
 def _sympy_blend(l1, l2, c, lam):
@@ -112,6 +124,33 @@ class TestRecoverLambda:
     def test_wrong_secant_is_not_reproducible(self):
         with pytest.raises(NotReproducible):
             recover_lambda(CIRCLE, L1, L2, LineImplicit(1, -1, 0), Point2(-1, 0))
+
+    @pytest.mark.parametrize("gap", [0.005, 0.01, 0.02, 0.03])
+    def test_close_tangency_points_recover(self, gap):
+        # t is near 1 and the blend a cancellation of terms up to 3e5 times
+        # its size, so one rounding of t moves it by over 1e-9 of itself; t
+        # must pass and agree with the exact sample formula opposite the pair
+        for t0 in POSITIONS:
+            l1, l2, c = _pair(t0, gap)
+            rec = recover_lambda(UNIT, l1, l2, c)
+            exact = recover_lambda(UNIT, l1, l2, c, UNIT_CIRCLE.point_at(t0 + math.pi))
+            assert rec.lam == pytest.approx(exact.lam, rel=1e-12)
+            assert rec.omega == pytest.approx(exact.omega, rel=1e-5)
+
+    @pytest.mark.parametrize("gap", [0.02, 0.03])
+    def test_close_tangency_points_reproduce(self, gap):
+        for t0 in POSITIONS:
+            ts = [t0, t0 + gap, t0 + 2.0, t0 + 3.5]
+            reproduce_conic_weights(UNIT, [UNIT_CIRCLE.tangent_at(t) for t in ts],
+                                    [UNIT_CIRCLE.point_at(t) for t in ts])
+
+    @pytest.mark.parametrize("gap", [0.01, 0.02, 0.5])
+    @pytest.mark.parametrize("shift", [1e-6, 1e-8])
+    def test_shifted_secant_of_close_points_is_not_reproducible(self, gap, shift):
+        for t0 in POSITIONS:
+            l1, l2, c = _pair(t0, gap)
+            with pytest.raises(NotReproducible):
+                recover_lambda(UNIT, l1, l2, LineImplicit(c.a, c.b, c.c + shift))
 
     def test_sample_off_conic(self):
         with pytest.raises(SampleNotOnConic):
