@@ -115,8 +115,11 @@ def recover_lambda(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
     legitimately push it outside.  The identity above is verified
     coefficient-wise to 1e-9 of the blend's size or, if larger, its terms'
     (see :func:`pencil_member`), whose rounding the blend carries when close
-    tangency points make it a cancellation; failure raises NotReproducible,
-    which means the given lines are not a tangent/secant configuration of Q.
+    tangency points make it a cancellation.  Failure raises NotReproducible,
+    which means the given lines are not a tangent/secant configuration of Q
+    or, where the blend cancels below 1e-7 of its terms (tangency points
+    under about 1e-3 rad apart on a unit circle), that the points are too
+    close for the check to tell.
     """
     if sample is None:
         return _verified(q, l1, l2, c, _pencil_lambda(q, l1, l2, c))
@@ -140,7 +143,8 @@ def _verified(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
               c: LineImplicit, lam: float) -> LambdaOmega:
     """(lam, omega), omega from Q's largest coefficient, once the blend at
     ``lam`` is omega * Q to 1e-9 of the larger of its own size and its
-    terms'; else NotReproducible."""
+    terms'; else NotReproducible, also where the blend is under 1e-7 of its
+    terms, too cancelled for that bound to tell Q from another conic."""
     blend, terms = pencil_member(l1, l2, c, 1.0 - lam, lam)
     # max() below skips a NaN that is not first, so overflow is tested for
     if not all(map(math.isfinite, blend)):
@@ -153,6 +157,11 @@ def _verified(q: ConicCoeffs, l1: LineImplicit, l2: LineImplicit,
     scale = max(max(map(abs, blend)), abs(omega) * qmax)
     if omega == 0.0 or not math.isfinite(omega) or scale == 0.0:
         raise NotReproducible("blend collapses to the zero polynomial")
+    # below this, 1e-9 of the terms is over 1% of the blend: any Q would pass
+    if scale <= 1e-7 * terms:
+        raise NotReproducible(
+            f"tangency points too close to verify: the blend cancels to {scale / terms:.3g}"
+            " of its terms")
     resid = max([abs(bv - omega * qv) for bv, qv in zip(blend, qc)])
     if resid > 1e-9 * max(scale, terms):
         raise NotReproducible(

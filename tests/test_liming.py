@@ -144,13 +144,25 @@ class TestRecoverLambda:
             reproduce_conic_weights(UNIT, [UNIT_CIRCLE.tangent_at(t) for t in ts],
                                     [UNIT_CIRCLE.point_at(t) for t in ts])
 
-    @pytest.mark.parametrize("gap", [0.01, 0.02, 0.5])
+    @pytest.mark.parametrize("gap", [0.005, 0.01, 0.02, 0.5])
     @pytest.mark.parametrize("shift", [1e-6, 1e-8])
     def test_shifted_secant_of_close_points_is_not_reproducible(self, gap, shift):
         for t0 in POSITIONS:
             l1, l2, c = _pair(t0, gap)
             with pytest.raises(NotReproducible):
                 recover_lambda(UNIT, l1, l2, LineImplicit(c.a, c.b, c.c + shift))
+
+    @pytest.mark.parametrize("gap", [1e-5, 5e-5])
+    def test_unrelated_conic_of_too_close_points_is_not_reproducible(self, gap):
+        # with unit-normal lines the blend cancels to about gap**2 / 8 of its
+        # terms, below what a 1e-9 bound on the terms can tell apart
+        far = Ellipse(5.0, 5.0, 1.0, 1.0, 0.0)
+        for t0 in POSITIONS:
+            l1, l2, c = _pair(t0, gap)
+            c = LineImplicit(*(v / math.hypot(c.a, c.b) for v in (c.a, c.b, c.c)))
+            for sample in (None, far.point_at(0.3)):
+                with pytest.raises(NotReproducible):
+                    recover_lambda(far.conic, l1, l2, c, sample)
 
     def test_sample_off_conic(self):
         with pytest.raises(SampleNotOnConic):
