@@ -10,8 +10,11 @@ evaluation fails.  Only the lattice needs numpy: :class:`GridSampling` and
 :func:`verify_tangency` run without it.  Sampled fields are contoured with
 marching squares: one crossing per sign-change edge, linear interpolation
 along the edge, ambiguous saddle cells resolved by the sign of a
-cell-center sample.  Segments are chained into polylines through shared
-edge crossings, which are computed once per edge so chains match exactly.
+cell-center sample.  The cell pass is plain Python over two lattice rows at
+a time, read as lists of floats: four comparisons give a cell's case, and
+the cells with no sign change, about 98% of a typical lattice, cost
+nothing more.  Segments are chained into polylines through shared edge
+crossings, which are keyed by edge so chains match exactly.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ class FieldRef(Protocol):
     ``value`` and ``gradient`` take a point and do Python float arithmetic.
     ``values(x, y)`` takes numpy arrays that broadcast together and gives
     ``value`` element by element, NaN where ``value`` would raise
-    FieldEvaluationError; :func:`sample_grid` also turns any other
-    non-finite result into NaN.  Only ``values`` meets numpy, and only when
+    FieldEvaluationError; :class:`GridSampling` also holds any other
+    non-finite result as NaN.  Only ``values`` meets numpy, and only when
     a lattice is sampled.
     """
 
@@ -95,10 +98,12 @@ class GridSampling:
     """Field values on an (N+1) x (N+1) lattice over a bounding rectangle.
 
     ``values[i, j]`` is the sample at x-index i, y-index j.  Lattice points
-    where evaluation failed hold NaN; cells touching them are skipped when
-    contouring.  The sampled field is kept (when known) so saddle cells can be
-    disambiguated by a true center sample.  ``values`` is held as a
-    read-only view, not a copy: the caller's array stays writable.
+    where evaluation failed hold NaN, and so does any non-finite value given;
+    cells touching them are skipped when contouring.  The sampled field is
+    kept (when known) so saddle cells can be disambiguated by a true center
+    sample.  ``values`` is held read-only: as a view when every value is
+    finite, so the caller's array stays writable, else as a copy with NaN in
+    place of each infinity.
     """
 
     bounds: Bounds
@@ -114,7 +119,8 @@ class GridSampling:
         expected = (self.resolution + 1, self.resolution + 1)
         if values.shape != expected:
             raise ValueError(f"expected values of shape {expected}, got {values.shape}")
-        values = values.view()
+        finite = np.isfinite(values)
+        values = values.view() if finite.all() else np.where(finite, values, np.nan)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -125,10 +131,6 @@ class GridSampling:
     @property
     def step_y(self) -> float:
         return self.bounds.height / self.resolution
-
-    def point_at(self, i: int, j: int) -> Point2:
-        return Point2(self.bounds.xmin + i * self.step_x,
-                      self.bounds.ymin + j * self.step_y)
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,6 @@ def sample_grid(field: FieldRef, bounds: Bounds, resolution: int) -> GridSamplin
     with np.errstate(all="ignore"):
         values = np.asarray(field.values(x, y), dtype=float)
     values = np.broadcast_to(values, (resolution + 1, resolution + 1))
-    values = np.where(np.isfinite(values), values, np.nan)
     return GridSampling(bounds, resolution, values, field)
 
 
@@ -197,74 +198,69 @@ def trace_contours(grid: GridSampling) -> ContourSet:
     """Marching squares over the sampled grid.
 
     Emits one polyline per connected chain of cell-edge crossings.  An empty
-    result is valid (no sign changes).  Cells with a non-finite corner are
-    skipped, so isolated evaluation failures punch at most four cells out of
-    the picture.
+    result is valid (no sign changes).  Cells with a NaN corner are skipped,
+    so isolated evaluation failures punch at most four cells out of the
+    picture.  Vertex coordinates are Python floats.
     """
     n = grid.resolution
-    values = grid.values
+    xmin = float(grid.bounds.xmin)
+    ymin = float(grid.bounds.ymin)
+    step_x = float(grid.step_x)
+    step_y = float(grid.step_y)
+    half_x = 0.5 * step_x
+    half_y = 0.5 * step_y
+    ys = [ymin + j * step_y for j in range(n + 1)]
     crossings: dict[tuple, Point2] = {}
     segments: list[tuple[tuple, tuple]] = []
-
-    def edge_key(side: str, i: int, j: int) -> tuple:
-        if side == "B":
-            return ("h", i, j)
-        if side == "T":
-            return ("h", i, j + 1)
-        if side == "L":
-            return ("v", i, j)
-        return ("v", i + 1, j)
-
-    def crossing_point(key: tuple) -> Point2:
-        pt = crossings.get(key)
-        if pt is not None:
-            return pt
-        kind, i, j = key
-        v0 = values[i, j]
-        if kind == "h":
-            v1 = values[i + 1, j]
-        else:
-            v1 = values[i, j + 1]
-        t = v0 / (v0 - v1)
-        p0 = grid.point_at(i, j)
-        if kind == "h":
-            pt = Point2(p0.x + t * grid.step_x, p0.y)
-        else:
-            pt = Point2(p0.x, p0.y + t * grid.step_y)
-        crossings[key] = pt
-        return pt
-
-    half_x = 0.5 * grid.step_x
-    half_y = 0.5 * grid.step_y
+    rows = grid.values
+    lo = rows[0].tolist()  # lattice points (i, j) for all j
     for i in range(n):
+        hi = rows[i + 1].tolist()  # lattice points (i+1, j)
+        x0 = xmin + i * step_x
         for j in range(n):
-            corners = (values[i, j], values[i + 1, j],
-                       values[i + 1, j + 1], values[i, j + 1])
-            if any(math.isnan(v) for v in corners):
+            v00 = lo[j]
+            v10 = hi[j]
+            v11 = hi[j + 1]
+            v01 = lo[j + 1]
+            case = (v00 > 0.0) | (v10 > 0.0) << 1 | (v11 > 0.0) << 2 | (v01 > 0.0) << 3
+            # NaN compares false, so a NaN corner never makes case 15
+            if case == 0 or case == 15:
                 continue
-            case = 0
-            for bit, v in enumerate(corners):
-                if v > 0.0:
-                    case |= 1 << bit
-            if case in (0, 15):
+            if v00 != v00 or v10 != v10 or v11 != v11 or v01 != v01:
                 continue
-            if case in (5, 10):
-                sides = _saddle_segments(grid, i, j, corners, case, half_x, half_y)
+            y0 = ys[j]
+            # the keys of edges B, R, T, L; an edge shared by two cells gets
+            # the same key and the same point from both
+            edges = {"B": ("h", i, j), "R": ("v", i + 1, j),
+                     "T": ("h", i, j + 1), "L": ("v", i, j)}
+            if (v00 > 0.0) != (v10 > 0.0):
+                crossings[edges["B"]] = Point2(x0 + v00 / (v00 - v10) * step_x, y0)
+            if (v10 > 0.0) != (v11 > 0.0):
+                crossings[edges["R"]] = Point2(xmin + (i + 1) * step_x,
+                                               y0 + v10 / (v10 - v11) * step_y)
+            if (v01 > 0.0) != (v11 > 0.0):
+                crossings[edges["T"]] = Point2(x0 + v01 / (v01 - v11) * step_x, ys[j + 1])
+            if (v00 > 0.0) != (v01 > 0.0):
+                crossings[edges["L"]] = Point2(x0, y0 + v00 / (v00 - v01) * step_y)
+            if case == 5 or case == 10:
+                sides = _saddle_segments(grid.field, Point2(x0 + half_x, y0 + half_y),
+                                         (v00, v10, v11, v01), case)
             else:
                 sides = _CASE_SEGMENTS[case]
             for side_a, side_b in sides:
-                segments.append((edge_key(side_a, i, j), edge_key(side_b, i, j)))
+                segments.append((edges[side_a], edges[side_b]))
+        lo = hi
 
     return ContourSet(tuple(
-        tuple(crossing_point(k) for k in chain)
+        tuple(crossings[k] for k in chain)
         for chain in _chain_segments(segments)
     ))
 
 
-def _saddle_segments(grid: GridSampling, i: int, j: int, corners, case: int,
-                     half_x: float, half_y: float):
-    """Resolve the two ambiguous cases by the cell-center sample's sign."""
-    center_positive = _center_sample(grid, i, j, corners, half_x, half_y) > 0.0
+def _saddle_segments(field: FieldRef | None, center: Point2, corners, case: int):
+    """Resolve the two ambiguous cases by the sign of the field at the cell
+    center, or of the corner mean when there is no field or it fails there."""
+    center_positive = _center_sample(field, center, corners) > 0.0
     if case == 5:  # corners (i, j) and (i+1, j+1) positive
         if center_positive:
             return (("B", "R"), ("T", "L"))
@@ -274,12 +270,10 @@ def _saddle_segments(grid: GridSampling, i: int, j: int, corners, case: int,
     return (("B", "R"), ("T", "L"))
 
 
-def _center_sample(grid: GridSampling, i: int, j: int, corners,
-                   half_x: float, half_y: float) -> float:
-    if grid.field is not None:
-        p0 = grid.point_at(i, j)
+def _center_sample(field: FieldRef | None, center: Point2, corners) -> float:
+    if field is not None:
         try:
-            v = grid.field.value(Point2(p0.x + half_x, p0.y + half_y))
+            v = field.value(center)
             if math.isfinite(v):
                 return v
         except FieldEvaluationError:

@@ -10,6 +10,7 @@ evaluation and tests, and only its methods import numpy.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .geom import ConicCoeffs, LineImplicit
@@ -54,15 +55,23 @@ def _matrix_terms(c: np.ndarray, width: int) -> list[tuple[int, float]]:
             for j, v in enumerate(row) if v != 0.0]
 
 
+@dataclass(frozen=True, eq=False)
 class BivariatePoly:
-    """Polynomial in x and y; ``coeffs[i, j]`` multiplies x**i * y**j."""
+    """Polynomial in x and y; ``coeffs[i, j]`` multiplies x**i * y**j.
 
-    def __init__(self, coeffs):
+    ``coeffs`` is held as a read-only copy, so neither the caller's array nor
+    the polynomial can change the other.
+    """
+
+    coeffs: np.ndarray
+
+    def __post_init__(self):
         import numpy as np
-        c = np.asarray(coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)
         if c.ndim != 2:
             raise ValueError("coefficient matrix must be two-dimensional")
-        self.coeffs = c
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_line(cls, line: LineImplicit) -> BivariatePoly:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicurve import (
     Bounds,
     ConicCoeffs,
+    ContourSet,
     GridSampling,
     LineImplicit,
     Point2,
@@ -15,6 +18,8 @@ from implicurve import (
     trace_contours,
     verify_tangency,
 )
+from implicurve.contour import _CASE_SEGMENTS, _chain_segments
+from implicurve.errors import FieldEvaluationError
 from implicurve.ipatch import NORMALIZED, RAW
 
 from conftest import crossing
@@ -85,6 +90,16 @@ class TestSampleGrid:
         values[0, 0] = 1.0
         assert grid.values[0, 0] == 1.0  # a view, not a copy
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_value_held_as_nan(self, bad):
+        values = np.array([[1.0, 1.0, 1.0], [1.0, bad, -1.0], [1.0, -1.0, -1.0]])
+        grid = GridSampling(Bounds(0, 0, 1, 1), 2, values)
+        assert math.isnan(grid.values[1, 1])
+        assert values[1, 1] == bad  # the caller's array is left as it was
+        assert not grid.values.flags.writeable
+        values[1, 1] = math.nan
+        assert trace_contours(grid) == trace_contours(GridSampling(Bounds(0, 0, 1, 1), 2, values))
+
     def test_resolution_ceiling_checked_before_allocation(self):
         # 10**9 cells per axis would need 8e18 bytes; the bound must refuse
         # it by its own message, not numpy's "array is too big"
@@ -137,6 +152,157 @@ class TestTraceContours:
             errors.append(max(abs(math.hypot(p.x, p.y) - 1.0)
                               for pl in contours.polylines for p in pl))
         assert errors[1] <= errors[0] and errors[2] <= errors[1]
+
+
+def reference_trace(grid: GridSampling) -> ContourSet:
+    """The per-cell marching-squares loop that trace_contours replaced, kept
+    as its reference: numpy scalars read one corner at a time, NaN tested on
+    every cell, and crossings computed when a chain reaches them."""
+    n = grid.resolution
+    values = grid.values
+    crossings: dict[tuple, Point2] = {}
+    segments: list[tuple[tuple, tuple]] = []
+
+    def point_at(i, j):
+        return Point2(grid.bounds.xmin + i * grid.step_x,
+                      grid.bounds.ymin + j * grid.step_y)
+
+    def edge_key(side, i, j):
+        if side == "B":
+            return ("h", i, j)
+        if side == "T":
+            return ("h", i, j + 1)
+        if side == "L":
+            return ("v", i, j)
+        return ("v", i + 1, j)
+
+    def crossing_point(key):
+        pt = crossings.get(key)
+        if pt is not None:
+            return pt
+        kind, i, j = key
+        v0 = values[i, j]
+        v1 = values[i + 1, j] if kind == "h" else values[i, j + 1]
+        t = v0 / (v0 - v1)
+        p0 = point_at(i, j)
+        if kind == "h":
+            pt = Point2(p0.x + t * grid.step_x, p0.y)
+        else:
+            pt = Point2(p0.x, p0.y + t * grid.step_y)
+        crossings[key] = pt
+        return pt
+
+    def center_sample(i, j, corners):
+        if grid.field is not None:
+            p0 = point_at(i, j)
+            try:
+                v = grid.field.value(Point2(p0.x + 0.5 * grid.step_x,
+                                            p0.y + 0.5 * grid.step_y))
+                if math.isfinite(v):
+                    return v
+            except FieldEvaluationError:
+                pass
+        return 0.25 * sum(corners)
+
+    for i in range(n):
+        for j in range(n):
+            corners = (values[i, j], values[i + 1, j],
+                       values[i + 1, j + 1], values[i, j + 1])
+            if any(math.isnan(v) for v in corners):
+                continue
+            case = 0
+            for bit, v in enumerate(corners):
+                if v > 0.0:
+                    case |= 1 << bit
+            if case in (0, 15):
+                continue
+            if case in (5, 10):
+                center_positive = center_sample(i, j, corners) > 0.0
+                if (case == 5) == center_positive:
+                    sides = (("B", "R"), ("T", "L"))
+                else:
+                    sides = (("L", "B"), ("R", "T"))
+            else:
+                sides = _CASE_SEGMENTS[case]
+            for side_a, side_b in sides:
+                segments.append((edge_key(side_a, i, j), edge_key(side_b, i, j)))
+
+    return ContourSet(tuple(
+        tuple(crossing_point(k) for k in chain)
+        for chain in _chain_segments(segments)
+    ))
+
+
+def _bits(contours: ContourSet):
+    """Every coordinate's exact bits, so -0.0 and 0.0 tell apart."""
+    return [[(float.hex(p.x), float.hex(p.y)) for p in pl] for pl in contours.polylines]
+
+
+class _CenterField:
+    """Saddle-center stand-in: a linear value, NaN, or an evaluation failure."""
+
+    def __init__(self, kind, a, b, c):
+        self.kind, self.a, self.b, self.c = kind, a, b, c
+
+    def value(self, p):
+        if self.kind == "fails":
+            raise FieldEvaluationError("no value here")
+        if self.kind == "nan":
+            return math.nan
+        return self.a * p.x + self.b * p.y + self.c
+
+    def gradient(self, p):
+        raise NotImplementedError
+
+
+corner_values = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0, 1e-300, -1e300]),
+    st.floats(-10.0, 10.0, allow_nan=False))
+center_fields = st.one_of(
+    st.none(),
+    st.builds(_CenterField, st.sampled_from(["linear", "nan", "fails"]),
+              *(st.floats(-2.0, 2.0, allow_nan=False),) * 3))
+
+
+@st.composite
+def lattices(draw):
+    """Grids of 4 to 36 cells with NaN holes, signed zeros, saddles and
+    arbitrary placement; the field (or none) decides saddle centers."""
+    n = draw(st.integers(2, 6))
+    values = draw(st.lists(corner_values, min_size=(n + 1) ** 2, max_size=(n + 1) ** 2))
+    xmin = draw(st.floats(-100.0, 100.0, allow_nan=False))
+    ymin = draw(st.floats(-100.0, 100.0, allow_nan=False))
+    width = draw(st.floats(1e-3, 100.0))
+    height = draw(st.floats(1e-3, 100.0))
+    bounds = Bounds(xmin, ymin, xmin + width, ymin + height)
+    return GridSampling(bounds, n, np.reshape(values, (n + 1, n + 1)), draw(center_fields))
+
+
+class TestReferenceTracer:
+    @settings(max_examples=400, deadline=None)
+    @given(lattices())
+    def test_equals_reference(self, grid):
+        got = trace_contours(grid)
+        assert got == reference_trace(grid)
+        assert _bits(got) == _bits(reference_trace(grid))
+        assert all(type(p.x) is float and type(p.y) is float
+                   for pl in got.polylines for p in pl)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattices(), st.data())
+    def test_infinity_traces_as_nan(self, grid, data):
+        n = grid.resolution
+        holes = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n),
+                                             st.sampled_from([math.inf, -math.inf])),
+                                   min_size=1, max_size=4))
+        with_inf = np.array(grid.values)
+        with_nan = np.array(grid.values)
+        for i, j, v in holes:
+            with_inf[i, j] = v
+            with_nan[i, j] = math.nan
+        got = trace_contours(GridSampling(grid.bounds, n, with_inf, grid.field))
+        want = trace_contours(GridSampling(grid.bounds, n, with_nan, grid.field))
+        assert _bits(got) == _bits(want)
 
 
 class _StubField:

@@ -294,6 +294,17 @@ class TestExpandToPolynomial:
         with pytest.raises(ValueError):
             expand_to_polynomial(circle_patch(NORMALIZED))
 
+    def test_polynomial_is_immutable(self):
+        source = np.eye(2)
+        poly = BivariatePoly(source)
+        source[0, 0] = 5.0  # a copy, not a view
+        assert poly.coeffs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        for p in (poly, expand_to_polynomial(circle_patch(RAW)), poly * poly):
+            with pytest.raises(ValueError):
+                p.coeffs[0, 0] = 1.0
+            with pytest.raises(AttributeError):
+                p.coeffs = source
+
 
 class TestReproduceConicWeights:
     def test_circle_weights(self):
